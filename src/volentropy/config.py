@@ -4,8 +4,10 @@ Math modules take these as keyword defaults; the CLI exposes overrides for
 the user-facing ones.
 """
 
-# Root finding: absolute width of the final bisection bracket in h.
+# Root finding: absolute width of the final sign bracket in h, and the cap
+# on radius evaluations per solve.
 ROOT_TOL = 1e-12
+ROOT_MAX_EVALUATIONS = 200
 
 # Fixed-point residual threshold, measured on max-normalized vectors.
 RESIDUAL_TOL = 1e-9

@@ -1,10 +1,17 @@
 """Volume entropy: the unique h > 0 where the weighted matrix has unit
 spectral radius.
 
-The Perron root of the h-weighted non-backtracking matrix is strictly
-decreasing in h, starts above 1 (the graph is not a cycle), and tends to 0;
-bisection with sign-bracketing therefore finds the root without relying on
-anything beyond continuity.
+The Perron root rho(h) of the h-weighted non-backtracking matrix starts
+above 1 (the graph is not a cycle), and log rho(h) is decreasing and, by
+Kingman's theorem (Kingman 1961), convex in h.  Newton's method on
+log rho, started at the lower bound log rho(0) / l_max, therefore rises
+monotonically to the root.  Its derivative needs the left Perron vector,
+which the reversal involution gives from the right one without a second
+eigensolve.  Each step aims a third of the root tolerance short of the
+root, so no iterate lands within rounding of it; a safeguard bisects back
+inside the bracket if rounding pushes an iterate past the root anyway, and
+a final probe the same distance past the root closes a sign bracket
+narrower than the root tolerance.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ class EntropySolution:
     """Entropy value with the fixed-point vector and solver diagnostics.
 
     ``vector`` is the Perron vector at the solved h, max-normalized;
-    ``bracket`` is the final root interval and ``residual`` the max-norm
-    defect of the fixed-point system.
+    ``bracket`` is the final sign bracket (radius above 1 at its left end,
+    below 1 at its right), ``residual`` the max-norm defect of the
+    fixed-point system, and ``iterations`` the number of radius evaluations
+    (Perron solves) the root finder made.
     """
 
     h: float
@@ -53,43 +62,55 @@ def solve_unit_radius(
     n: int,
     lengths: np.ndarray,
     *,
+    reversal: np.ndarray,
+    edge_orders: np.ndarray | None = None,
     root_tol: float = config.ROOT_TOL,
     residual_tol: float = config.RESIDUAL_TOL,
 ) -> UnitRadiusSolution:
     """Solve radius(h) = 1 for a weighted nonnegative edge matrix.
 
     The matrix at weight h has entry vals * exp(-h * lengths[col]); the
-    caller guarantees irreducibility.
+    caller guarantees irreducibility.  ``reversal`` maps each edge index to
+    the index of its reversal and ``edge_orders`` gives each edge's group
+    order (1 when omitted); together they yield the left Perron vector.
     """
-
-    def radius_at(h: float) -> float:
-        matrix = spectral.assemble(rows, cols, vals, n, h, lengths)
-        lam, _, _, _ = spectral.power_iteration(matrix)
-        return lam
-
+    radius0, _, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
     evaluations = 1
-    lam0 = radius_at(0.0)
-    assert lam0 > 1.0, (
-        "spectral radius at h=0 must exceed 1 once the entropy hypotheses hold"
-    )
-    hi = 1.0
-    while radius_at(hi) >= 1.0:
+    if not radius0 > 1.0:
+        raise GraphError(
+            f"spectral radius at h=0 is {radius0:.6g}; it must exceed 1 for the "
+            "entropy to be positive"
+        )
+    # rho(0) exp(-h l_max) <= rho(h) <= rho(0) exp(-h l_min) brackets the root.
+    lo, hi = 0.0, math.log(radius0) / float(np.min(lengths))
+    hi_probed = False
+    margin = root_tol / 3.0
+    h = math.log(radius0) / float(np.max(lengths))
+    while True:
+        if evaluations >= config.ROOT_MAX_EVALUATIONS:
+            raise ConvergenceError(
+                f"entropy root not bracketed to {root_tol:.1e} in {evaluations} "
+                f"evaluations (bracket {lo!r}, {hi!r})"
+            )
+        radius, x, _ = spectral.perron_at(rows, cols, vals, n, h, lengths)
         evaluations += 1
-        hi *= 2.0
-        if hi > 2.0**64:
-            raise ConvergenceError("failed to bracket the entropy root")
-    evaluations += 1
-    lo = 0.0
-    while hi - lo >= root_tol:
-        mid = 0.5 * (lo + hi)
-        evaluations += 1
-        if radius_at(mid) > 1.0:
-            lo = mid
+        if radius > 1.0:
+            lo = h
         else:
-            hi = mid
+            hi, hi_probed = h, True
+        if hi_probed and hi - lo < root_tol:
+            break
+        y = spectral.left_perron_vector(x, h, lengths, reversal, edge_orders)
+        step = math.log(radius) * float(y @ x) / float(y @ (lengths * x))
+        if radius > 1.0 and step + margin < root_tol:
+            # Converged: a probe just past the root closes the bracket.
+            h = h + step + margin
+        elif lo < h + step - margin < hi:
+            h = h + step - margin
+        else:
+            h = 0.5 * (lo + hi)
     h = 0.5 * (lo + hi)
-    matrix = spectral.assemble(rows, cols, vals, n, h, lengths)
-    _, vec, _, _ = spectral.power_iteration(matrix)
+    _, vec, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths)
     evaluations += 1
     residual = float(np.max(np.abs(vec - matrix @ vec)))
     if residual > residual_tol:
@@ -114,8 +135,9 @@ def volume_entropy(
     adj = edge_adjacency(g)
     rows, cols, vals = spectral._triplets(adj)
     lengths = np.array([float(g.length(e)) for e in adj.edge_ids])
+    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
     solution = solve_unit_radius(
-        rows, cols, vals, adj.order, lengths,
+        rows, cols, vals, adj.order, lengths, reversal=reversal,
         root_tol=root_tol, residual_tol=residual_tol,
     )
     vector = {eid: float(v) for eid, v in zip(adj.edge_ids, solution.vector)}

@@ -153,8 +153,11 @@ def gog_entropy(
     if len(strongly_connected_components(successors)) != 1:
         raise GraphError("multiplicity matrix is reducible")
     lengths = np.array([float(g.length(e.id)) for e in g.edges])
+    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
+    edge_orders = np.array([float(gog.order_of_edge(e.id)) for e in g.edges])
     solution = solve_unit_radius(
-        rows, cols, vals, n, lengths, root_tol=root_tol, residual_tol=residual_tol
+        rows, cols, vals, n, lengths, reversal=reversal, edge_orders=edge_orders,
+        root_tol=root_tol, residual_tol=residual_tol,
     )
     vector = {e.id: float(v) for e, v in zip(g.edges, solution.vector)}
     return EntropySolution(

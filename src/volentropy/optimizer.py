@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config, spectral
 from .entropy import verify_fixed_point
-from .errors import GraphError
+from .errors import ConvergenceError, GraphError
 from .graph import MetricGraph, base_id, series_reduce, validate_entropy_hypotheses
 
 
@@ -72,7 +72,7 @@ def minimal_metric(g: MetricGraph) -> MinimalMetricResult:
     result = MinimalMetricResult(h, lengths, perron, z)
     check = verify_fixed_point(g.with_lengths(lengths), h, perron)
     if check.max_residual > config.RESIDUAL_TOL:
-        raise AssertionError(
+        raise ConvergenceError(
             f"closed-form minimizer violates the fixed-point system "
             f"(residual {check.max_residual:.3e})"
         )
@@ -102,10 +102,9 @@ def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
     rows, cols, vals = spectral._triplets(adj)
     lvec = np.array([float(metered.length(e)) for e in adj.edge_ids])
     h = reduced_result.h_min
-    matrix = spectral.assemble(rows, cols, vals, adj.order, h, lvec)
-    radius, vec, _, _ = spectral.power_iteration(matrix)
+    radius, vec, _ = spectral.perron_at(rows, cols, vals, adj.order, h, lvec)
     if abs(radius - 1.0) > config.RESIDUAL_TOL:
-        raise AssertionError(
+        raise ConvergenceError(
             f"pulled-back minimizer is off the unit spectral radius by {radius - 1.0:.3e}"
         )
     perron = {eid: float(v) for eid, v in zip(adj.edge_ids, vec)}

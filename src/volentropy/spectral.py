@@ -212,6 +212,52 @@ def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
     return WeightedEdgeMatrix(adj, float(h), entries)
 
 
+def perron_at(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    n: int,
+    h: float,
+    lengths: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray | sparse.csr_matrix]:
+    """Perron root, max-normalized Perron vector and the assembled matrix at h.
+
+    A dense matrix (below ``DENSE_EDGE_LIMIT`` edges) is solved by a full
+    eigendecomposition: the Perron root is the eigenvalue of largest real
+    part, and no iteration can stall on a periodic matrix.  A sparse matrix
+    goes through ``power_iteration`` from the all-ones vector.
+    """
+    matrix = assemble(rows, cols, vals, n, h, lengths)
+    if not isinstance(matrix, np.ndarray):
+        radius, vec, _, _ = power_iteration(matrix)
+        return radius, vec, matrix
+    values, vectors = np.linalg.eig(matrix)
+    k = int(np.argmax(values.real))
+    vec = np.abs(vectors[:, k].real)
+    vec /= np.max(vec)
+    if float(np.min(vec)) <= 0.0:
+        raise ConvergenceError("Perron vector has a nonpositive entry")
+    return float(values[k].real), vec, matrix
+
+
+def left_perron_vector(
+    x: np.ndarray,
+    h: float,
+    lengths: np.ndarray,
+    reversal: np.ndarray,
+    edge_orders: np.ndarray | None = None,
+) -> np.ndarray:
+    """Left Perron vector of the h-weighted matrix from its right one.
+
+    The reversal involution conjugates the matrix to its transpose up to
+    diagonal scaling, so y_e = exp(-h l_e) x_rev(e) / |G_e| satisfies
+    y^T M = rho y^T whenever M x = rho x; ``edge_orders`` gives |G_e| per
+    oriented edge and defaults to 1 (a plain graph).
+    """
+    y = np.exp(-h * lengths) * x[reversal]
+    return y if edge_orders is None else y / edge_orders
+
+
 def power_iteration(
     matrix: np.ndarray | sparse.csr_matrix,
     *,

@@ -117,6 +117,23 @@ def double_cover_doc(lengths=None):
     }
 
 
+# Graph of groups with edge orders 2, 2, 1, 3 on two vertices of order 6;
+# the loop makes its multiplicity matrix aperiodic.
+EDGE_ORDERS_GOG_DOC = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"u": "a", "v": "b", "length": 1, "id": "e1"},
+        {"u": "a", "v": "b", "length": 2, "id": "e2"},
+        {"u": "a", "v": "a", "length": 3, "id": "e3"},
+        {"u": "a", "v": "b", "length": "3/2", "id": "e4"},
+    ],
+    "groups": {
+        "vertex_orders": {"a": 6, "b": 6},
+        "edge_orders": {"e1": 2, "e2": 2, "e3": 1, "e4": 3},
+    },
+}
+
+
 LENGTH_POOL = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
 
 

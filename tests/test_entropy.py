@@ -2,6 +2,7 @@
 fixed-point contract."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from volentropy import (
     entropy_volume_product,
+    gog_entropy,
+    sample_normalized_metrics,
     scale_metric,
     series_reduce,
     spectral_radius,
@@ -16,9 +19,21 @@ from volentropy import (
     volume_entropy,
     weighted_matrix,
 )
+from volentropy import spectral
+from volentropy.documents import gog_from_document
+from volentropy.entropy import solve_unit_radius
 from volentropy.errors import GraphError
+from volentropy.gog import _multiplicity_triplets
 
-from builders import complete, cycle, dumbbell, graph_doc, theta
+from builders import (
+    EDGE_ORDERS_GOG_DOC,
+    complete,
+    complete_bipartite,
+    cycle,
+    dumbbell,
+    graph_doc,
+    theta,
+)
 from volentropy import build_graph
 
 LOG2 = math.log(2)
@@ -59,13 +74,79 @@ def test_cycle_rejected():
         volume_entropy(cycle(4))
 
 
-def test_bracket_is_sign_bracketing():
+def _plain_theta_123():
     g = theta((1, 2, 3))
-    sol = volume_entropy(g)
-    lo, hi = sol.bracket
-    assert hi - lo < 1e-11
-    assert spectral_radius(weighted_matrix(g, lo)).radius > 1
-    assert spectral_radius(weighted_matrix(g, hi)).radius < 1
+    return volume_entropy(g), lambda h: spectral_radius(weighted_matrix(g, h)).radius
+
+
+def _gog_with_edge_orders():
+    gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+    rows, cols, vals, n, lengths, _, _ = _gog_system(gog)
+
+    def radius_at(h):
+        matrix = spectral.assemble(rows, cols, vals, n, h, lengths)
+        return spectral.power_iteration(matrix)[0]
+
+    return gog_entropy(gog), radius_at
+
+
+def _gog_system(gog):
+    g = gog.graph
+    rows, cols, vals = _multiplicity_triplets(gog)
+    lengths = np.array([float(g.length(e.id)) for e in g.edges])
+    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
+    orders = np.array([float(gog.order_of_edge(e.id)) for e in g.edges])
+    return rows, cols, vals, len(g.edges), lengths, reversal, orders
+
+
+def test_bracket_is_sign_bracketing():
+    for solved in (_plain_theta_123, _gog_with_edge_orders):
+        sol, radius_at = solved()
+        lo, hi = sol.bracket
+        assert hi - lo < 1e-11
+        assert radius_at(lo) > 1
+        assert radius_at(hi) < 1
+
+
+@pytest.mark.parametrize("h", [0.0, 0.4, 1.3])
+def test_left_vector_from_reversal(h):
+    rows, cols, vals, n, lengths, reversal, orders = _gog_system(
+        gog_from_document(EDGE_ORDERS_GOG_DOC)
+    )
+    radius, x, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths)
+    y = spectral.left_perron_vector(x, h, lengths, reversal, orders)
+    assert np.max(np.abs(matrix.T @ y - radius * y)) <= 1e-12
+
+
+def test_newton_evaluations_per_solve():
+    g = complete_bipartite(3, 4)
+    counts = [
+        volume_entropy(g.with_lengths(m)).iterations
+        for m in sample_normalized_metrics(g, 200, seed=0)
+    ]
+    assert sum(counts) / len(counts) <= 15
+
+
+def test_stalled_k34_dirichlet_metric():
+    # The first Dirichlet sample of K3,4 at this seed has length ratio ~509
+    # and a periodic edge matrix on which power iteration near the root
+    # stalls for hundreds of thousands of steps.
+    g = complete_bipartite(3, 4)
+    metered = g.with_lengths(next(iter(sample_normalized_metrics(g, 1, seed=103663338))))
+    start = time.perf_counter()
+    sol = volume_entropy(metered)
+    assert time.perf_counter() - start < 2.0
+    assert sol.h == pytest.approx(35.4374, abs=1e-4)
+    assert verify_fixed_point(metered, sol.h, sol.vector).max_residual <= 1e-9
+
+
+def test_unit_radius_needs_radius_above_one_at_zero():
+    # A weighted 3-cycle has spectral radius 1/2 at h = 0: no positive root.
+    idx = np.arange(3)
+    with pytest.raises(GraphError, match="must exceed 1"):
+        solve_unit_radius(
+            idx, (idx + 1) % 3, np.full(3, 0.5), 3, np.ones(3), reversal=idx[::-1]
+        )
 
 
 def test_residual_contract():

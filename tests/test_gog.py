@@ -1,6 +1,7 @@
 """Graphs of finite groups and the covering inequality."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,21 @@ def test_double_cover_perturbed_strict():
     assert sum(lengths.values()) == 1
     cover = cover_from_document(double_cover_doc())
     ineq = covering_inequality(cover, lengths)
+    assert ineq.gap > 0
+    assert not ineq.equality
+
+
+def test_double_cover_stalled_metric():
+    # A +-30 % perturbation of the cover's metric at which power iteration
+    # on the periodic edge matrix stalls for 500000 steps near the root.
+    lengths = {
+        "f1": 0.20077028763586582, "f2": 0.15677585064691013, "f3": 0.15580927126475883,
+        "f4": 0.20147993713348877, "f5": 0.14158802392915157, "f6": 0.1435766293898248,
+    }
+    cover = cover_from_document(double_cover_doc())
+    start = time.perf_counter()
+    ineq = covering_inequality(cover, lengths)
+    assert time.perf_counter() - start < 2.0
     assert ineq.gap > 0
     assert not ineq.equality
 

@@ -17,7 +17,8 @@ from volentropy import (
     volume,
     volume_entropy,
 )
-from volentropy.errors import GraphError
+from volentropy import config, spectral
+from volentropy.errors import ConvergenceError, GraphError
 
 from builders import complete, complete_bipartite, cycle, dumbbell, subdivided_theta, theta
 
@@ -112,6 +113,26 @@ def test_minimize_with_reduction_trivalent_passthrough():
     assert result.canonical == "exact"
     assert result.chains is None
     assert result.lengths == minimal_metric(g).lengths
+
+
+def test_minimal_metric_failed_check_raises(monkeypatch):
+    # No real graph fails the closed-form fixed-point check; force it.
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceError, match="closed-form minimizer"):
+        minimal_metric(theta())
+
+
+def test_minimize_with_reduction_failed_check_raises(monkeypatch):
+    # No real graph fails the pulled-back radius check; force it.
+    perron_at = spectral.perron_at
+
+    def off_by_one_percent(*args):
+        radius, vec, matrix = perron_at(*args)
+        return 1.01 * radius, vec, matrix
+
+    monkeypatch.setattr(spectral, "perron_at", off_by_one_percent)
+    with pytest.raises(ConvergenceError, match="pulled-back minimizer"):
+        minimize_with_reduction(subdivided_theta())
 
 
 def test_minimize_with_reduction_rejects_cycle():
