@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,27 +153,11 @@ def _solution_result(solution: entropy.EntropySolution) -> dict:
     }
 
 
-def _matrix_dump(g: MetricGraph, h: float) -> list[str]:
-    import math
-
-    adj = spectral.edge_adjacency(g)
+def _matrix_dump(system: spectral.EdgeSystem, h: float) -> list[str]:
+    ids, lengths = system.edge_ids, system.lengths.tolist()
     return [
-        f"{e} {f} {math.exp(-h * float(g.length(f)))!r}"
-        for e, f in adj.nonzero_pairs()
-    ]
-
-
-def _gog_matrix_dump(weighted, h: float) -> list[str]:
-    import math
-
-    from .gog import _multiplicity_triplets
-
-    g = weighted.graph
-    rows, cols, vals = _multiplicity_triplets(weighted)
-    ids = [e.id for e in g.edges]
-    return [
-        f"{ids[i]} {ids[j]} {float(v) * math.exp(-h * float(g.length(ids[j])))!r}"
-        for i, j, v in zip(rows, cols, vals)
+        f"{ids[i]} {ids[j]} {v * math.exp(-h * lengths[j])!r}"
+        for i, j, v in zip(system.rows.tolist(), system.cols.tolist(), system.vals.tolist())
     ]
 
 
@@ -208,7 +193,7 @@ def _run_entropy(cfg: RunConfig) -> int:
     )
     result = _solution_result(solution)
     if cfg.dump_matrix:
-        result["matrix"] = _matrix_dump(g, solution.h)
+        result["matrix"] = _matrix_dump(spectral.edge_system(g), solution.h)
     _emit(cfg, result)
     return EXIT_OK
 
@@ -249,8 +234,6 @@ def _run_oracle(cfg: RunConfig) -> int:
     x0 = cfg.base_vertex or g.vertices[0]
     if x0 not in g.vertices:
         raise GraphError(f"unknown base vertex {x0!r}")
-    import math
-
     denominator = math.lcm(*(v.denominator for v in g.lengths.values()))
     r_max = Fraction(cfg.r_max, denominator)
     estimate = oracle.estimate_entropy(g, x0, r_max)
@@ -286,7 +269,10 @@ def _run_gog_entropy(cfg: RunConfig) -> int:
     result = _solution_result(solution)
     result["degrees"] = {x: gog.degree(weighted, x) for x in weighted.graph.vertices}
     if cfg.dump_matrix:
-        result["matrix"] = _gog_matrix_dump(weighted, solution.h)
+        orders = (weighted.vertex_order, weighted.edge_order)
+        result["matrix"] = _matrix_dump(
+            spectral.edge_system(weighted.graph, orders), solution.h
+        )
     _emit(cfg, result)
     return EXIT_OK
 

@@ -4,8 +4,9 @@ Math modules take these as keyword defaults; the CLI exposes overrides for
 the user-facing ones.
 """
 
-# Root finding: absolute width of the final sign bracket in h, and the cap
-# on radius evaluations per solve.
+# Root finding: width of the final sign bracket in h times the longest edge
+# length (a relative accuracy at any length scale), and the cap on radius
+# evaluations per solve.
 ROOT_TOL = 1e-12
 ROOT_MAX_EVALUATIONS = 200
 
@@ -18,7 +19,8 @@ POWER_RQ_TOL = 1e-14
 POWER_RESIDUAL_TOL = 1e-12
 POWER_MAX_ITER = 10**6
 
-# Dense matrices below this edge count, sparse from it upward.
+# Dense matrices (np.linalg.eig) below this oriented edge count; from it up,
+# a triplet operator with a numpy bincount product (power iteration).
 DENSE_EDGE_LIMIT = 64
 
 # Path-count oracle: default radius in integer grid units, number of fit

@@ -25,7 +25,6 @@ import numpy as np
 from . import config, spectral
 from .errors import ConvergenceError, GraphError
 from .graph import MetricGraph, validate_entropy_hypotheses
-from .spectral import edge_adjacency, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -46,34 +45,24 @@ class EntropySolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class UnitRadiusSolution:
-    h: float
-    vector: np.ndarray
-    bracket: tuple[float, float]
-    residual: float
-    evaluations: int
-
-
 def solve_unit_radius(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    n: int,
-    lengths: np.ndarray,
+    system: spectral.EdgeSystem,
     *,
-    reversal: np.ndarray,
-    edge_orders: np.ndarray | None = None,
     root_tol: float = config.ROOT_TOL,
     residual_tol: float = config.RESIDUAL_TOL,
-) -> UnitRadiusSolution:
-    """Solve radius(h) = 1 for a weighted nonnegative edge matrix.
+) -> EntropySolution:
+    """Solve radius(h) = 1 for the weighted matrix of an edge system.
 
     The matrix at weight h has entry vals * exp(-h * lengths[col]); the
-    caller guarantees irreducibility.  ``reversal`` maps each edge index to
-    the index of its reversal and ``edge_orders`` gives each edge's group
-    order (1 when omitted); together they yield the left Perron vector.
+    caller guarantees irreducibility.  The system's reversal index and edge
+    orders yield the left Perron vector from the right one.  Since
+    h(alpha * lengths) = h(lengths) / alpha, the root is found for lengths
+    scaled to a longest edge of 1 and scaled back, so ``root_tol`` bounds
+    the bracket width times the longest length at any length scale.
     """
+    rows, cols, vals, n = system.rows, system.cols, system.vals, system.order
+    scale = float(np.max(system.lengths))
+    lengths = system.lengths / scale
     radius0, _, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
     evaluations = 1
     if not radius0 > 1.0:
@@ -100,7 +89,7 @@ def solve_unit_radius(
             hi, hi_probed = h, True
         if hi_probed and hi - lo < root_tol:
             break
-        y = spectral.left_perron_vector(x, h, lengths, reversal, edge_orders)
+        y = spectral.left_perron_vector(x, h, lengths, system.reversal, system.edge_orders)
         step = math.log(radius) * float(y @ x) / float(y @ (lengths * x))
         if radius > 1.0 and step + margin < root_tol:
             # Converged: a probe just past the root closes the bracket.
@@ -117,7 +106,8 @@ def solve_unit_radius(
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    return UnitRadiusSolution(h, vec, (lo, hi), residual, evaluations)
+    vector = dict(zip(system.edge_ids, vec.tolist()))
+    return EntropySolution(h / scale, vector, (lo / scale, hi / scale), residual, evaluations)
 
 
 def volume_entropy(
@@ -130,20 +120,14 @@ def volume_entropy(
     report = validate_entropy_hypotheses(g)
     if not report.ok:
         raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
-    if not is_irreducible(g):
-        raise GraphError("edge adjacency matrix is reducible")
-    adj = edge_adjacency(g)
-    rows, cols, vals = spectral._triplets(adj)
-    lengths = np.array([float(g.length(e)) for e in adj.edge_ids])
-    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
-    solution = solve_unit_radius(
-        rows, cols, vals, adj.order, lengths, reversal=reversal,
-        root_tol=root_tol, residual_tol=residual_tol,
-    )
-    vector = {eid: float(v) for eid, v in zip(adj.edge_ids, solution.vector)}
-    return EntropySolution(
-        solution.h, vector, solution.bracket, solution.residual, solution.evaluations
-    )
+    system = spectral.edge_system(g)
+    if len(system.components) != 1:
+        # The hypotheses leave a branch vertex, so this is the valency criterion.
+        raise RuntimeError(
+            "internal consistency failure: strong connectivity and the "
+            "valency criterion disagree"
+        )
+    return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
 
 
 @dataclass(frozen=True)

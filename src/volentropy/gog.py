@@ -5,9 +5,9 @@ Only group orders enter any quantity in scope, so a graph of groups is the
 underlying graph plus positive integer orders on vertices and unoriented
 edges, with each edge order dividing both endpoint orders.  The degree of a
 vertex is the valency of its lifts in the universal covering tree.  Entropy
-is computed directly from a multiplicity-weighted edge matrix counting
-non-backtracking continuations in that tree; with trivial groups this is
-exactly the plain edge adjacency matrix.
+is computed from the edge system that ``spectral.edge_system`` builds for
+these orders, whose matrix counts non-backtracking continuations in that
+tree; with trivial groups it is exactly the plain graph's edge system.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
-from . import config
+from . import config, spectral
 from .entropy import EntropySolution, solve_unit_radius
 from .errors import GraphError
 from .graph import Length, MetricGraph, base_id
-from .spectral import strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -102,32 +99,6 @@ def _require_degrees(gog: GraphOfGroups, bound: int = 3) -> dict[str, int]:
     return degrees
 
 
-def _multiplicity_triplets(gog: GraphOfGroups):
-    """Continuation multiplicities in the covering tree, as matrix triplets.
-
-    Following edge e, an edge f with i(f) = t(e) has |G_t(e)| / |G_f| lifts,
-    except that one lift of the reversal is the backtrack and is dropped.
-    """
-    g = gog.graph
-    index = g.edge_index
-    rows, cols, vals = [], [], []
-    for e in g.edges:
-        order_t = gog.vertex_order[e.terminus]
-        for f in g.out_edges(e.terminus):
-            m = order_t // gog.order_of_edge(f)
-            if f == e.reversal:
-                m -= 1
-            if m > 0:
-                rows.append(index[e.id])
-                cols.append(index[f])
-                vals.append(float(m))
-    return (
-        np.asarray(rows, dtype=np.intp),
-        np.asarray(cols, dtype=np.intp),
-        np.asarray(vals),
-    )
-
-
 def gog_entropy(
     gog: GraphOfGroups,
     *,
@@ -145,24 +116,10 @@ def gog_entropy(
     g = gog.graph
     if len(g.components()) > 1:
         raise GraphError("graph of groups must be connected")
-    rows, cols, vals = _multiplicity_triplets(gog)
-    n = len(g.edges)
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(rows, cols):
-        successors[i].append(j)
-    if len(strongly_connected_components(successors)) != 1:
+    system = spectral.edge_system(g, (gog.vertex_order, gog.edge_order))
+    if len(system.components) != 1:
         raise GraphError("multiplicity matrix is reducible")
-    lengths = np.array([float(g.length(e.id)) for e in g.edges])
-    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
-    edge_orders = np.array([float(gog.order_of_edge(e.id)) for e in g.edges])
-    solution = solve_unit_radius(
-        rows, cols, vals, n, lengths, reversal=reversal, edge_orders=edge_orders,
-        root_tol=root_tol, residual_tol=residual_tol,
-    )
-    vector = {e.id: float(v) for e, v in zip(g.edges, solution.vector)}
-    return EntropySolution(
-        solution.h, vector, solution.bracket, solution.residual, solution.evaluations
-    )
+    return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
 
 
 def gog_minimal_entropy(gog: GraphOfGroups) -> float:

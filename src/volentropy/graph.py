@@ -184,6 +184,10 @@ class MetricGraph:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the underlying graph, each sorted."""
+        return self._components
+
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
         remaining = set(self.vertices)
         components = []
         while remaining:

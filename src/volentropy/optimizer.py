@@ -98,16 +98,16 @@ def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
         for oriented in chain:
             lengths[base_id(oriented)] = piece
     metered = g.with_lengths(lengths)
-    adj = spectral.edge_adjacency(metered)
-    rows, cols, vals = spectral._triplets(adj)
-    lvec = np.array([float(metered.length(e)) for e in adj.edge_ids])
+    system = spectral.edge_system(metered)
     h = reduced_result.h_min
-    radius, vec, _ = spectral.perron_at(rows, cols, vals, adj.order, h, lvec)
+    radius, vec, _ = spectral.perron_at(
+        system.rows, system.cols, system.vals, system.order, h, system.lengths
+    )
     if abs(radius - 1.0) > config.RESIDUAL_TOL:
         raise ConvergenceError(
             f"pulled-back minimizer is off the unit spectral radius by {radius - 1.0:.3e}"
         )
-    perron = {eid: float(v) for eid, v in zip(adj.edge_ids, vec)}
+    perron = {eid: float(v) for eid, v in zip(system.edge_ids, vec)}
     z = {}
     for x in g.vertices:
         if g.valency(x) >= 3:

@@ -1,23 +1,50 @@
-"""Non-backtracking edge adjacency and Perron-Frobenius spectral radius.
+"""Edge systems of graphs and graphs of groups, and Perron-Frobenius radii.
 
-The edge adjacency matrix has a 1 in row e, column f exactly when f can
-follow e without backtracking (t(e) = i(f) and f is not the reversal of e).
-Its h-weighted form scales column f by exp(-h * length(f)); the spectral
-radius of that matrix drives the entropy solver.
+``edge_system`` counts, for each pair of oriented edges with t(e) = i(f),
+the lifts of f that continue a lift of e in the covering tree without
+backtracking.  With all group orders 1 this is the non-backtracking
+adjacency: a 1 exactly when f can follow e and is not its reversal.  The
+h-weighted matrix scales column f by exp(-h * length(f)); its spectral
+radius drives the entropy solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import config
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph
+from .graph import MetricGraph, base_id
+
+
+@dataclass(frozen=True)
+class EdgeSystem:
+    """What the solvers need from a graph, built in one pass over its edges.
+
+    Oriented edges are indexed in sorted id order.  ``rows``, ``cols`` and
+    ``vals`` are the continuation multiplicities as row-major triplets;
+    ``lengths``, ``reversal`` and ``edge_orders`` give per edge its float
+    length, the index of its reversal and its group order |G_e|;
+    ``components`` are the strongly connected components, as index tuples.
+    """
+
+    edge_ids: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    lengths: np.ndarray
+    reversal: np.ndarray
+    edge_orders: np.ndarray
+    components: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -43,20 +70,31 @@ class EdgeAdjacency:
                 out[i, j] = 1.0
         return out
 
-    def nonzero_pairs(self):
-        """Yield (row edge id, column edge id) for every 1 entry, row-major."""
-        for i, row in enumerate(self.successors):
-            for j in row:
-                yield self.edge_ids[i], self.edge_ids[j]
+
+@dataclass(frozen=True)
+class TripletMatrix:
+    """Sparse square matrix as row-major triplets; ``@`` multiplies a vector."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.weights)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.shape[0])
 
 
 @dataclass(frozen=True)
 class WeightedEdgeMatrix:
     """The h-weighted matrix: base entries times exp(-h * length(column))."""
 
-    base: EdgeAdjacency
+    base: EdgeSystem
     h: float
-    entries: np.ndarray | sparse.csr_matrix
+    entries: np.ndarray | TripletMatrix
 
 
 @dataclass(frozen=True)
@@ -76,17 +114,58 @@ class IrreducibilityReport:
         return self.irreducible
 
 
+def edge_system(
+    g: MetricGraph,
+    orders: tuple[Mapping[str, int], Mapping[str, int]] | None = None,
+) -> EdgeSystem:
+    """The edge system of g, or of a graph of groups on g.
+
+    ``orders`` holds a graph of groups' vertex orders and edge orders, the
+    latter keyed by unoriented edge id; None means every order is 1.
+    """
+    if orders is None:
+        vertex_order = dict.fromkeys(g.vertices, 1)
+        edge_orders = [1] * len(g.edges)
+    else:
+        vertex_order, edge_order = orders
+        edge_orders = [edge_order[base_id(e.id)] for e in g.edges]
+    index = g.edge_index
+    # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
+    lifts = {
+        x: [(index[f], vertex_order[x] // edge_orders[index[f]]) for f in g.out_edges(x)]
+        for x in g.vertices
+    }
+    reversal = [index[e.reversal] for e in g.edges]
+    successors: list[list[int]] = []
+    vals: list[int] = []
+    for e, back in zip(g.edges, reversal):
+        row = []
+        for j, m in lifts[e.terminus]:
+            if j == back:
+                m -= 1  # one lift of the reversal is the backtrack
+            if m > 0:
+                row.append(j)
+                vals.append(m)
+        successors.append(row)
+    n = len(successors)
+    return EdgeSystem(
+        edge_ids=tuple(e.id for e in g.edges),
+        rows=np.repeat(np.arange(n, dtype=np.intp), [len(row) for row in successors]),
+        cols=np.fromiter(chain.from_iterable(successors), dtype=np.intp, count=len(vals)),
+        vals=np.array(vals, dtype=float),
+        lengths=np.array([float(g.lengths[e.id]) for e in g.edges]),
+        reversal=np.array(reversal, dtype=np.intp),
+        edge_orders=np.array(edge_orders, dtype=float),
+        components=tuple(map(tuple, strongly_connected_components(successors))),
+    )
+
+
 def edge_adjacency(g: MetricGraph) -> EdgeAdjacency:
     """Non-backtracking adjacency of the oriented edges."""
-    ids = tuple(e.id for e in g.edges)
-    index = g.edge_index
-    successors = []
-    for e in g.edges:
-        row = tuple(
-            index[f] for f in g.out_edges(e.terminus) if f != e.reversal
-        )
-        successors.append(row)
-    return EdgeAdjacency(len(ids), ids, tuple(successors))
+    system = edge_system(g)
+    bounds = np.cumsum(np.bincount(system.rows, minlength=system.order))[:-1]
+    successors = tuple(tuple(row.tolist()) for row in np.split(system.cols, bounds))
+    return EdgeAdjacency(system.order, system.edge_ids, successors)
 
 
 def strongly_connected_components(
@@ -152,9 +231,8 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     terminal = [x for x in g.vertices if g.valency(x) == 1]
     if terminal:
         raise GraphError(f"irreducibility requires no terminal vertices; found {terminal}")
-    adj = edge_adjacency(g)
-    components = strongly_connected_components(adj.successors)
-    irreducible = len(components) == 1
+    system = edge_system(g)
+    irreducible = len(system.components) == 1
     has_branch_vertex = any(g.valency(x) >= 3 for x in g.vertices)
     if irreducible != has_branch_vertex:
         raise RuntimeError(
@@ -164,24 +242,12 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     if irreducible:
         return IrreducibilityReport(True, None)
     witness = tuple(
-        tuple(adj.edge_ids[i] for i in component) for component in components
+        tuple(system.edge_ids[i] for i in component) for component in system.components
     )
     return IrreducibilityReport(False, witness)
 
 
 # -- matrix assembly and power iteration ------------------------------------
-
-
-def _triplets(adj: EdgeAdjacency) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = [], []
-    for i, row in enumerate(adj.successors):
-        rows.extend([i] * len(row))
-        cols.extend(row)
-    return (
-        np.asarray(rows, dtype=np.intp),
-        np.asarray(cols, dtype=np.intp),
-        np.ones(len(rows)),
-    )
 
 
 def assemble(
@@ -191,25 +257,25 @@ def assemble(
     n: int,
     h: float,
     lengths: np.ndarray,
-) -> np.ndarray | sparse.csr_matrix:
+) -> np.ndarray | TripletMatrix:
     """Weighted matrix with entry vals * exp(-h * lengths[col])."""
     weighted = vals * np.exp(-h * lengths[cols])
     if n < config.DENSE_EDGE_LIMIT:
         out = np.zeros((n, n))
         out[rows, cols] = weighted
         return out
-    return sparse.csr_matrix((weighted, (rows, cols)), shape=(n, n))
+    return TripletMatrix(rows, cols, weighted, (n, n))
 
 
 def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
     """The h-weighted non-backtracking matrix of g."""
     if h < 0:
         raise GraphError(f"weight exponent must be nonnegative, got {h}")
-    adj = edge_adjacency(g)
-    rows, cols, vals = _triplets(adj)
-    lengths = np.array([float(g.length(e)) for e in adj.edge_ids])
-    entries = assemble(rows, cols, vals, adj.order, float(h), lengths)
-    return WeightedEdgeMatrix(adj, float(h), entries)
+    system = edge_system(g)
+    entries = assemble(
+        system.rows, system.cols, system.vals, system.order, float(h), system.lengths
+    )
+    return WeightedEdgeMatrix(system, float(h), entries)
 
 
 def perron_at(
@@ -219,13 +285,13 @@ def perron_at(
     n: int,
     h: float,
     lengths: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray | sparse.csr_matrix]:
+) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
     """Perron root, max-normalized Perron vector and the assembled matrix at h.
 
     A dense matrix (below ``DENSE_EDGE_LIMIT`` edges) is solved by a full
     eigendecomposition: the Perron root is the eigenvalue of largest real
-    part, and no iteration can stall on a periodic matrix.  A sparse matrix
-    goes through ``power_iteration`` from the all-ones vector.
+    part, and no iteration can stall on a periodic matrix.  A larger
+    ``TripletMatrix`` goes through ``power_iteration`` from the all-ones vector.
     """
     matrix = assemble(rows, cols, vals, n, h, lengths)
     if not isinstance(matrix, np.ndarray):
@@ -245,21 +311,20 @@ def left_perron_vector(
     h: float,
     lengths: np.ndarray,
     reversal: np.ndarray,
-    edge_orders: np.ndarray | None = None,
+    edge_orders: np.ndarray,
 ) -> np.ndarray:
     """Left Perron vector of the h-weighted matrix from its right one.
 
     The reversal involution conjugates the matrix to its transpose up to
     diagonal scaling, so y_e = exp(-h l_e) x_rev(e) / |G_e| satisfies
     y^T M = rho y^T whenever M x = rho x; ``edge_orders`` gives |G_e| per
-    oriented edge and defaults to 1 (a plain graph).
+    oriented edge.
     """
-    y = np.exp(-h * lengths) * x[reversal]
-    return y if edge_orders is None else y / edge_orders
+    return np.exp(-h * lengths) * x[reversal] / edge_orders
 
 
 def power_iteration(
-    matrix: np.ndarray | sparse.csr_matrix,
+    matrix: np.ndarray | TripletMatrix,
     *,
     rq_tol: float = config.POWER_RQ_TOL,
     residual_tol: float = config.POWER_RESIDUAL_TOL,
@@ -326,8 +391,7 @@ def spectral_radius(
     max_iter: int = config.POWER_MAX_ITER,
 ) -> PerronResult:
     """Perron root and positive eigenvector of a weighted edge matrix."""
-    components = strongly_connected_components(m.base.successors)
-    if len(components) != 1:
+    if len(m.base.components) != 1:
         raise GraphError("spectral radius requires an irreducible edge matrix")
     radius, vec, iterations, residual = power_iteration(
         m.entries, rq_tol=rq_tol, residual_tol=residual_tol, max_iter=max_iter

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+from volentropy import volume_entropy
 from volentropy.cli import main
 
-from builders import THETA_DOC, double_cover_doc, graph_doc
+from builders import THETA_DOC, complete_bipartite, double_cover_doc, graph_doc
 
 
 @pytest.fixture
@@ -152,6 +157,40 @@ def test_dump_matrix(capsys, theta_file):
     first = doc["matrix"][0].split()
     assert len(first) == 3
     assert float(first[2]) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_gog_dump_matrix_matches_plain(capsys, theta_file):
+    # theta's document has no groups, so every order is 1
+    def matrix_lines(argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return lines[lines.index("matrix:") + 1:]
+
+    plain = matrix_lines(["entropy", theta_file, "--dump-matrix"])
+    assert len(plain) == 12
+    assert matrix_lines(["gog-entropy", theta_file, "--dump-matrix"]) == plain
+
+
+def test_runs_without_scipy():
+    # A fresh interpreter in which importing scipy fails must still load the
+    # CLI and solve K5,7, whose 70 oriented edges take the power-iteration path.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import volentropy.cli\n"
+        "from builders import complete_bipartite\n"
+        "from volentropy import volume_entropy\n"
+        "print(repr(volume_entropy(complete_bipartite(5, 7)).h))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    h = volume_entropy(complete_bipartite(5, 7)).h
+    assert float(done.stdout) == pytest.approx(h, rel=1e-12)
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):

@@ -23,7 +23,6 @@ from volentropy import spectral
 from volentropy.documents import gog_from_document
 from volentropy.entropy import solve_unit_radius
 from volentropy.errors import GraphError
-from volentropy.gog import _multiplicity_triplets
 
 from builders import (
     EDGE_ORDERS_GOG_DOC,
@@ -91,12 +90,8 @@ def _gog_with_edge_orders():
 
 
 def _gog_system(gog):
-    g = gog.graph
-    rows, cols, vals = _multiplicity_triplets(gog)
-    lengths = np.array([float(g.length(e.id)) for e in g.edges])
-    reversal = np.array([g.edge_index[e.reversal] for e in g.edges])
-    orders = np.array([float(gog.order_of_edge(e.id)) for e in g.edges])
-    return rows, cols, vals, len(g.edges), lengths, reversal, orders
+    s = spectral.edge_system(gog.graph, (gog.vertex_order, gog.edge_order))
+    return s.rows, s.cols, s.vals, s.order, s.lengths, s.reversal, s.edge_orders
 
 
 def test_bracket_is_sign_bracketing():
@@ -143,10 +138,13 @@ def test_stalled_k34_dirichlet_metric():
 def test_unit_radius_needs_radius_above_one_at_zero():
     # A weighted 3-cycle has spectral radius 1/2 at h = 0: no positive root.
     idx = np.arange(3)
+    system = spectral.EdgeSystem(
+        edge_ids=("a", "b", "c"), rows=idx, cols=(idx + 1) % 3, vals=np.full(3, 0.5),
+        lengths=np.ones(3), reversal=idx[::-1], edge_orders=np.ones(3),
+        components=((0, 1, 2),),
+    )
     with pytest.raises(GraphError, match="must exceed 1"):
-        solve_unit_radius(
-            idx, (idx + 1) % 3, np.full(3, 0.5), 3, np.ones(3), reversal=idx[::-1]
-        )
+        solve_unit_radius(system)
 
 
 def test_residual_contract():
@@ -157,7 +155,11 @@ def test_residual_contract():
         assert report.max_residual <= 1e-9
 
 
-@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2), 2, 5])
+@pytest.mark.parametrize(
+    "alpha",
+    [Fraction(1, 3), Fraction(1, 2), 2, 5,
+     Fraction(1, 10**9), Fraction(1, 10**12), 10**6, 10**12],
+)
 def test_homogeneity(alpha):
     for g in (theta(), dumbbell((1, 2, 1))):
         base = volume_entropy(g).h

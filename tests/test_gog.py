@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from volentropy import (
@@ -20,8 +21,9 @@ from volentropy import (
     volume,
     volume_entropy,
 )
-from volentropy.documents import cover_from_document, gog_from_document
+from volentropy.documents import cover_from_document, gog_from_document, graph_to_document
 from volentropy.errors import GraphError
+from volentropy.spectral import edge_system
 
 from builders import (
     THETA_DOC,
@@ -130,15 +132,18 @@ def test_gog_minimizer_consistency():
 
 
 def test_trivial_groups_reduce_to_plain_operations():
-    docs = {
-        "theta": (THETA_DOC, theta()),
-    }
-    for doc, graph in docs.values():
-        gog = trivial(doc)
+    # K5,7 has 70 oriented edges: it is solved by power iteration
+    graphs = (theta(), dumbbell(), complete(4), complete_bipartite(3, 4), complete_bipartite(5, 7))
+    for graph in graphs:
+        gog = trivial(graph_to_document(graph))
+        ones = (dict.fromkeys(graph.vertices, 1), dict.fromkeys(graph.unoriented_ids, 1))
+        plain, grouped = edge_system(graph), edge_system(graph, ones)
+        for part in ("rows", "cols", "vals", "edge_orders"):
+            assert np.array_equal(getattr(plain, part), getattr(grouped, part))
         assert gog_volume(gog) == volume(graph)
         for x in graph.vertices:
             assert degree(gog, x) == graph.valency(x)
-        assert abs(gog_entropy(gog).h - volume_entropy(graph).h) <= 1e-12
+        assert gog_entropy(gog).h == volume_entropy(graph).h
         assert gog_minimal_entropy(gog) == pytest.approx(
             minimal_entropy(graph), rel=1e-12
         )
