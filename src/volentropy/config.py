@@ -13,8 +13,9 @@ ROOT_MAX_EVALUATIONS = 200
 # Fixed-point residual threshold, measured on max-normalized vectors.
 RESIDUAL_TOL = 1e-9
 
-# Power iteration: relative change between successive Rayleigh-quotient
-# estimates, residual threshold, and iteration cap.
+# Power iteration (on M plus a quarter of its Rayleigh quotient times I,
+# from the first step): relative change between successive Rayleigh-quotient
+# estimates, then the max-norm residual threshold, and the iteration cap.
 POWER_RQ_TOL = 1e-14
 POWER_RESIDUAL_TOL = 1e-12
 POWER_MAX_ITER = 10**6

@@ -19,9 +19,10 @@ id; a bare id means the forward orientation).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import yaml
 

@@ -58,12 +58,13 @@ def solve_unit_radius(
     orders yield the left Perron vector from the right one.  Since
     h(alpha * lengths) = h(lengths) / alpha, the root is found for lengths
     scaled to a longest edge of 1 and scaled back, so ``root_tol`` bounds
-    the bracket width times the longest length at any length scale.
+    the bracket width times the longest length at any length scale.  Each
+    radius evaluation starts from the Perron vector of the one before.
     """
     rows, cols, vals, n = system.rows, system.cols, system.vals, system.order
     scale = float(np.max(system.lengths))
     lengths = system.lengths / scale
-    radius0, _, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
+    radius0, x, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
     evaluations = 1
     if not radius0 > 1.0:
         raise GraphError(
@@ -81,7 +82,7 @@ def solve_unit_radius(
                 f"entropy root not bracketed to {root_tol:.1e} in {evaluations} "
                 f"evaluations (bracket {lo!r}, {hi!r})"
             )
-        radius, x, _ = spectral.perron_at(rows, cols, vals, n, h, lengths)
+        radius, x, _ = spectral.perron_at(rows, cols, vals, n, h, lengths, start=x)
         evaluations += 1
         if radius > 1.0:
             lo = h
@@ -99,7 +100,7 @@ def solve_unit_radius(
         else:
             h = 0.5 * (lo + hi)
     h = 0.5 * (lo + hi)
-    _, vec, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths)
+    _, vec, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths, start=x)
     evaluations += 1
     residual = float(np.max(np.abs(vec - matrix @ vec)))
     if residual > residual_tol:

@@ -171,7 +171,8 @@ def edge_adjacency(g: MetricGraph) -> EdgeAdjacency:
 def strongly_connected_components(
     successors: Sequence[Sequence[int]],
 ) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to avoid recursion limits."""
+    """Tarjan's algorithm, iterative to avoid recursion limits: each vertex
+    on the depth-first path keeps its successor iterator and resumes it."""
     n = len(successors)
     index = [-1] * n
     low = [0] * n
@@ -182,40 +183,38 @@ def strongly_connected_components(
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
-        while work:
-            v, start = work.pop()
-            if start == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            succ = successors[v]
-            for i in range(start, len(succ)):
-                w = succ[i]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = True
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, succ = path[-1]
+            for w in succ:
                 if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    path.append((w, iter(successors[w])))
                     break
                 if onstack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(component))
+                if path:
+                    parent = path[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return components
 
 
@@ -285,17 +284,19 @@ def perron_at(
     n: int,
     h: float,
     lengths: np.ndarray,
+    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
     """Perron root, max-normalized Perron vector and the assembled matrix at h.
 
     A dense matrix (below ``DENSE_EDGE_LIMIT`` edges) is solved by a full
     eigendecomposition: the Perron root is the eigenvalue of largest real
-    part, and no iteration can stall on a periodic matrix.  A larger
-    ``TripletMatrix`` goes through ``power_iteration`` from the all-ones vector.
+    part.  A larger ``TripletMatrix`` goes through ``power_iteration`` from
+    ``start``, a positive vector such as the Perron vector at a nearby h, or
+    from the all-ones vector; the eigendecomposition ignores ``start``.
     """
     matrix = assemble(rows, cols, vals, n, h, lengths)
     if not isinstance(matrix, np.ndarray):
-        radius, vec, _, _ = power_iteration(matrix)
+        radius, vec, _, _ = power_iteration(matrix, start)
         return radius, vec, matrix
     values, vectors = np.linalg.eig(matrix)
     k = int(np.argmax(values.real))
@@ -325,76 +326,48 @@ def left_perron_vector(
 
 def power_iteration(
     matrix: np.ndarray | TripletMatrix,
-    *,
-    rq_tol: float = config.POWER_RQ_TOL,
-    residual_tol: float = config.POWER_RESIDUAL_TOL,
-    max_iter: int = config.POWER_MAX_ITER,
+    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int, float]:
     """Dominant eigenvalue and max-normalized eigenvector.
 
-    Deterministic power iteration from the all-ones vector; the matrix must
-    be irreducible nonnegative.  Periodic matrices make the plain iteration
-    oscillate, so on detected oscillation the iteration restarts on M + I,
-    whose spectral radius is shifted by exactly 1 and whose Perron vector is
-    unchanged.
+    Power iteration on the shifted matrix M + (lam/4) I, where lam is the
+    current Rayleigh quotient, from ``start`` (any positive vector) or from
+    the all-ones vector; the matrix must be irreducible nonnegative.  For
+    any c > 0, M + cI is primitive (Seneta, *Non-negative Matrices and
+    Markov Chains*, 1.1): every eigenvalue lam' != rho of M has
+    |lam' + c| < rho + c, so the iteration converges whatever the period of
+    M, and the shift leaves the Perron vector unchanged.
     """
-    n = matrix.shape[0]
-    x = np.ones(n)
-    shift = 0.0
-    lam = lam1 = math.inf
-    oscillating = 0
-    stalled = 0
+    x = np.ones(matrix.shape[0]) if start is None else start
+    y = matrix @ x
+    lam = math.inf
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        y = matrix @ x
-        if shift:
-            y = y + x
-        lam2, lam1, lam = lam1, lam, float(np.dot(x, y) / np.dot(x, x))
+    for iteration in range(1, config.POWER_MAX_ITER + 1):
+        lam_prev, lam = lam, float(np.dot(x, y) / np.dot(x, x))
+        # A quarter of the radius: a larger shift slows the fast-mixing
+        # (random cubic) matrices, a smaller one the long-period chains.
+        y += 0.25 * lam * x
         peak = float(np.max(y))
         if peak <= 0.0:
             raise ConvergenceError("power iteration collapsed; matrix has a zero row")
         x = y / peak
-        if math.isfinite(lam1) and abs(lam - lam1) <= rq_tol * abs(lam):
-            z = matrix @ x
-            if shift:
-                z = z + x
-            residual = float(np.max(np.abs(z - lam * x)))
-            if residual <= residual_tol:
-                radius = lam - shift
+        y = matrix @ x
+        if abs(lam - lam_prev) <= config.POWER_RQ_TOL * lam:
+            residual = float(np.max(np.abs(y - lam * x)))
+            if residual <= config.POWER_RESIDUAL_TOL:
                 if float(np.min(x)) <= 0.0:
                     raise ConvergenceError("Perron vector has a nonpositive entry")
-                return radius, x, iteration, residual
-            stalled += 1
-        else:
-            stalled = 0
-        if not shift and math.isfinite(lam2):
-            near_period_two = abs(lam - lam2) <= max(1e-13, 1e-10 * abs(lam))
-            moving = abs(lam - lam1) > max(1e-12, 100.0 * rq_tol * abs(lam))
-            oscillating = oscillating + 1 if (near_period_two and moving) else 0
-            if oscillating >= 64 or stalled >= 64 or 2 * iteration >= max_iter:
-                shift = 1.0
-                x = np.ones(n)
-                lam = lam1 = math.inf
-                oscillating = 0
-                stalled = 0
+                return lam, x, iteration, residual
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {config.POWER_MAX_ITER} iterations "
         f"(last residual {residual:.3e})"
     )
 
 
-def spectral_radius(
-    m: WeightedEdgeMatrix,
-    *,
-    rq_tol: float = config.POWER_RQ_TOL,
-    residual_tol: float = config.POWER_RESIDUAL_TOL,
-    max_iter: int = config.POWER_MAX_ITER,
-) -> PerronResult:
+def spectral_radius(m: WeightedEdgeMatrix) -> PerronResult:
     """Perron root and positive eigenvector of a weighted edge matrix."""
     if len(m.base.components) != 1:
         raise GraphError("spectral radius requires an irreducible edge matrix")
-    radius, vec, iterations, residual = power_iteration(
-        m.entries, rq_tol=rq_tol, residual_tol=residual_tol, max_iter=max_iter
-    )
+    radius, vec, iterations, residual = power_iteration(m.entries)
     vector = {eid: float(v) for eid, v in zip(m.base.edge_ids, vec)}
     return PerronResult(radius, vector, iterations, residual)

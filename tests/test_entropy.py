@@ -19,7 +19,7 @@ from volentropy import (
     volume_entropy,
     weighted_matrix,
 )
-from volentropy import spectral
+from volentropy import config, spectral
 from volentropy.documents import gog_from_document
 from volentropy.entropy import solve_unit_radius
 from volentropy.errors import GraphError
@@ -122,17 +122,39 @@ def test_newton_evaluations_per_solve():
     assert sum(counts) / len(counts) <= 15
 
 
-def test_stalled_k34_dirichlet_metric():
+def test_stalled_k34_dirichlet_metric(monkeypatch):
     # The first Dirichlet sample of K3,4 at this seed has length ratio ~509
-    # and a periodic edge matrix on which power iteration near the root
-    # stalls for hundreds of thousands of steps.
+    # and a periodic edge matrix on which unshifted power iteration near the
+    # root stalls for hundreds of thousands of steps.  The second case sends
+    # the 24 oriented edges through power iteration instead of the
+    # eigendecomposition.
     g = complete_bipartite(3, 4)
     metered = g.with_lengths(next(iter(sample_normalized_metrics(g, 1, seed=103663338))))
+    for dense_edge_limit in (config.DENSE_EDGE_LIMIT, 1):
+        monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", dense_edge_limit)
+        start = time.perf_counter()
+        sol = volume_entropy(metered)
+        assert time.perf_counter() - start < 2.0
+        assert sol.h == pytest.approx(35.4374, abs=1e-4)
+        assert verify_fixed_point(metered, sol.h, sol.vector).max_residual <= 1e-9
+
+
+def test_long_period_subdivided_theta():
+    # Each theta edge becomes a path of 11 edges of lengths 1, 2, 3, 1, ...,
+    # 2 (total 21): 66 oriented edges, so the solve takes power iteration,
+    # on an edge matrix of period 22.  Subdivision leaves h unchanged.
+    vertices = ["a", "b"]
+    edges = []
+    for path in range(3):
+        ends = ["a"] + [f"p{path}_{k}" for k in range(10)] + ["b"]
+        vertices += ends[1:-1]
+        for k in range(11):
+            edges.append((f"e{path}_{k}", ends[k], ends[k + 1], k % 3 + 1))
+    g = build_graph(graph_doc(vertices, edges))
     start = time.perf_counter()
-    sol = volume_entropy(metered)
+    sol = volume_entropy(g)
     assert time.perf_counter() - start < 2.0
-    assert sol.h == pytest.approx(35.4374, abs=1e-4)
-    assert verify_fixed_point(metered, sol.h, sol.vector).max_residual <= 1e-9
+    assert sol.h == pytest.approx(LOG2 / 21, rel=1e-12)
 
 
 def test_unit_radius_needs_radius_above_one_at_zero():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from volentropy import (
     edge_adjacency,
     is_irreducible,
+    sample_normalized_metrics,
     spectral_radius,
     weighted_matrix,
 )
@@ -157,6 +158,18 @@ def test_large_graph_uses_sparse_path():
     assert not isinstance(m.entries, np.ndarray)
     r = spectral_radius(m)
     assert r.radius > 0
+
+
+def test_power_iteration_warm_start():
+    # The Perron vector at a nearby h is a better start than the ones vector.
+    g = complete_bipartite(5, 7)
+    metered = g.with_lengths(next(iter(sample_normalized_metrics(g, 1, seed=0))))
+    near = power_iteration(weighted_matrix(metered, 20.01).entries)[1]
+    entries = weighted_matrix(metered, 20.0).entries
+    cold_radius, _, cold_iterations, _ = power_iteration(entries)
+    warm_radius, _, warm_iterations, _ = power_iteration(entries, near)
+    assert warm_radius == pytest.approx(cold_radius, abs=1e-12)
+    assert warm_iterations < cold_iterations
 
 
 def test_scc_helper():
