@@ -12,13 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import config, documents, entropy, gog, optimizer, oracle, spectral
 from .errors import ConvergenceError, DocumentError, GraphError
-from .graph import MetricGraph, series_reduce, validate_entropy_hypotheses, volume
+from .graph import series_reduce, validate_entropy_hypotheses, volume
 
 SCHEMA_VERSION = 1
 
@@ -37,77 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: Path
-    tol_root: float = config.ROOT_TOL
-    tol_residual: float = config.RESIDUAL_TOL
-    r_max: int = config.ORACLE_R_MAX_GRID
-    samples: int = config.SAMPLE_COUNT
-    seed: int = config.SAMPLE_SEED
-    output_format: str = "human"
-    dump_matrix: bool = False
-    base_vertex: str | None = None
+def _checked(convert, accept, requirement):
+    """An argparse ``type=`` that converts, then rejects values out of range."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message
+    return parse
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="volentropy", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    commands = {
-        "validate": "check the standing hypotheses for entropy operations",
-        "volume": "total length of the unoriented edges",
-        "entropy": "solve for the volume entropy and its fixed-point vector",
-        "minimize": "closed-form minimal entropy and minimizing metric",
-        "oracle": "exact path counts and a growth-rate estimate",
-        "reduce": "eliminate valency-2 vertices",
-        "gog-entropy": "entropy of a graph of groups",
-        "gog-minimize": "minimal entropy and metric of a graph of groups",
-        "cover-check": "verify an n-sheeted covering and its entropy inequality",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", type=Path, help="input document")
-        p.add_argument("--format", choices=("human", "structured"), default="human")
-        p.add_argument("--tol-root", type=float, default=config.ROOT_TOL)
-        p.add_argument("--tol-residual", type=float, default=config.RESIDUAL_TOL)
-        if name == "oracle":
-            p.add_argument(
-                "--r-max", type=int, default=config.ORACLE_R_MAX_GRID,
-                help="radius in integer grid units",
-            )
-            p.add_argument("--base-vertex", default=None)
-        if name == "minimize":
-            p.add_argument(
-                "--samples", type=int, default=config.SAMPLE_COUNT,
-                help="random volume-1 metrics checked against the minimum (0 disables)",
-            )
-            p.add_argument("--seed", type=int, default=config.SAMPLE_SEED)
-        if name in ("entropy", "gog-entropy"):
-            p.add_argument("--dump-matrix", action="store_true")
-    return parser
-
-
-def parse_args(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand, input_path=ns.input)
-    cfg.output_format = ns.format
-    cfg.tol_root = ns.tol_root
-    cfg.tol_residual = ns.tol_residual
-    if cfg.tol_root <= 0 or cfg.tol_residual <= 0:
-        raise UsageError("tolerances must be positive")
-    for name in ("r_max", "samples", "seed", "base_vertex"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if cfg.r_max <= 0:
-        raise UsageError("--r-max must be positive")
-    if cfg.samples < 0:
-        raise UsageError("--samples must be nonnegative")
-    if cfg.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-    if getattr(ns, "dump_matrix", False):
-        cfg.dump_matrix = True
-    return cfg
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "finite and positive")
+_positive = _checked(int, lambda v: v > 0, "positive")
+_nonnegative = _checked(int, lambda v: v >= 0, "nonnegative")
 
 
 def _fmt(value):
@@ -120,9 +63,9 @@ def _fmt(value):
     return value
 
 
-def _emit(cfg: RunConfig, result: dict) -> None:
-    if cfg.output_format == "structured":
-        payload = {"schema_version": SCHEMA_VERSION, "subcommand": cfg.subcommand}
+def _emit(ns: argparse.Namespace, result: dict) -> None:
+    if ns.format == "structured":
+        payload = {"schema_version": SCHEMA_VERSION, "subcommand": ns.subcommand}
         payload.update(_fmt(result))
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
@@ -137,10 +80,6 @@ def _emit(cfg: RunConfig, result: dict) -> None:
                 print(f"  {_fmt(item)}")
         else:
             print(f"{key}: {_fmt(value)}")
-
-
-def _load_graph(cfg: RunConfig) -> MetricGraph:
-    return documents.graph_from_document(documents.load_document(cfg.input_path))
 
 
 def _solution_result(solution: entropy.EntropySolution) -> dict:
@@ -161,8 +100,11 @@ def _matrix_dump(system: spectral.EdgeSystem, h: float) -> list[str]:
     ]
 
 
-def _run_validate(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+# Each handler takes the loaded document and the parsed arguments and
+# returns (result, ok); ok False exits with EXIT_INVALID.
+
+
+def _validate(g, ns):
     report = validate_entropy_hypotheses(g)
     result = {
         "ok": report.ok,
@@ -176,120 +118,97 @@ def _run_validate(cfg: RunConfig) -> int:
         result["terminal_vertices"] = list(report.terminal_vertices)
     if report.cycle_witness:
         result["witness"] = report.cycle_witness
-    _emit(cfg, result)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return result, report.ok
 
 
-def _run_volume(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    _emit(cfg, {"volume": volume(g)})
-    return EXIT_OK
+def _volume(g, ns):
+    return {"volume": volume(g)}, True
 
 
-def _run_entropy(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def _entropy(g, ns):
     solution = entropy.volume_entropy(
-        g, root_tol=cfg.tol_root, residual_tol=cfg.tol_residual
+        g, root_tol=ns.tol_root, residual_tol=ns.tol_residual
     )
     result = _solution_result(solution)
-    if cfg.dump_matrix:
+    if ns.dump_matrix:
         result["matrix"] = _matrix_dump(spectral.edge_system(g), solution.h)
-    _emit(cfg, result)
-    return EXIT_OK
+    return result, True
 
 
-def _run_minimize(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    result_obj = optimizer.minimize_with_reduction(g)
+def _minimize(g, ns):
+    minimal = optimizer.minimize_with_reduction(g)
     result = {
-        "h_min": result_obj.h_min,
-        "lengths": dict(sorted(result_obj.lengths.items())),
-        "perron": dict(sorted(result_obj.perron.items())),
-        "z": dict(sorted(result_obj.z.items())),
-        "canonical": result_obj.canonical,
+        "h_min": minimal.h_min,
+        "lengths": dict(sorted(minimal.lengths.items())),
+        "perron": dict(sorted(minimal.perron.items())),
+        "z": dict(sorted(minimal.z.items())),
+        "canonical": minimal.canonical,
     }
-    if result_obj.chains is not None:
+    if minimal.chains is not None:
         result["chains"] = {
-            cid: list(chain) for cid, chain in sorted(result_obj.chains.items())
+            cid: list(chain) for cid, chain in sorted(minimal.chains.items())
         }
-        result["chain_totals"] = dict(sorted(result_obj.chain_totals.items()))
-    if cfg.samples:
-        worst = None
-        for lengths in optimizer.sample_normalized_metrics(g, cfg.samples, cfg.seed):
-            h = entropy.volume_entropy(
-                g.with_lengths(lengths),
-                root_tol=cfg.tol_root,
-                residual_tol=cfg.tol_residual,
+        result["chain_totals"] = dict(sorted(minimal.chain_totals.items()))
+    if ns.samples:
+        worst = min(
+            entropy.volume_entropy(
+                g.with_lengths(lengths), root_tol=ns.tol_root, residual_tol=ns.tol_residual
             ).h
-            worst = h if worst is None else min(worst, h)
-        result["samples"] = cfg.samples
+            for lengths in optimizer.sample_normalized_metrics(g, ns.samples, ns.seed)
+        )
+        result["samples"] = ns.samples
         result["min_sampled_h"] = worst
-        result["all_samples_above_minimum"] = bool(worst >= result_obj.h_min - 1e-9)
-    _emit(cfg, result)
-    return EXIT_OK
+        result["all_samples_above_minimum"] = bool(worst >= minimal.h_min - 1e-9)
+    return result, True
 
 
-def _run_oracle(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    x0 = cfg.base_vertex or g.vertices[0]
+def _oracle(g, ns):
+    x0 = ns.base_vertex or g.vertices[0]
     if x0 not in g.vertices:
         raise GraphError(f"unknown base vertex {x0!r}")
     denominator = math.lcm(*(v.denominator for v in g.lengths.values()))
-    r_max = Fraction(cfg.r_max, denominator)
-    estimate = oracle.estimate_entropy(g, x0, r_max)
-    _emit(cfg, {
+    estimate = oracle.estimate_entropy(g, x0, Fraction(ns.r_max, denominator))
+    return {
         "base_vertex": x0,
         "r_grid": [str(r) for r in estimate.grid],
         "counts": [str(c) for c in estimate.counts],
         "h_est": estimate.h_est,
         "error_band": estimate.band,
-    })
-    return EXIT_OK
+    }, True
 
 
-def _run_reduce(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def _reduce(g, ns):
     reduced, chains = series_reduce(g)
-    _emit(cfg, {
+    return {
         "graph": documents.graph_to_document(reduced),
         "chains": {cid: list(chain) for cid, chain in sorted(chains.items())},
-    })
-    return EXIT_OK
+    }, True
 
 
-def _load_gog(cfg: RunConfig) -> gog.GraphOfGroups:
-    return documents.gog_from_document(documents.load_document(cfg.input_path))
-
-
-def _run_gog_entropy(cfg: RunConfig) -> int:
-    weighted = _load_gog(cfg)
+def _gog_entropy(weighted, ns):
     solution = gog.gog_entropy(
-        weighted, root_tol=cfg.tol_root, residual_tol=cfg.tol_residual
+        weighted, root_tol=ns.tol_root, residual_tol=ns.tol_residual
     )
     result = _solution_result(solution)
     result["degrees"] = {x: gog.degree(weighted, x) for x in weighted.graph.vertices}
-    if cfg.dump_matrix:
+    if ns.dump_matrix:
         orders = (weighted.vertex_order, weighted.edge_order)
         result["matrix"] = _matrix_dump(
             spectral.edge_system(weighted.graph, orders), solution.h
         )
-    _emit(cfg, result)
-    return EXIT_OK
+    return result, True
 
 
-def _run_gog_minimize(cfg: RunConfig) -> int:
-    weighted = _load_gog(cfg)
+def _gog_minimize(weighted, ns):
     minimal = gog.gog_minimal_metric(weighted)
-    _emit(cfg, {
+    return {
         "h_min": minimal.h_min,
         "lengths": dict(sorted(minimal.lengths.items())),
         "degrees": {x: gog.degree(weighted, x) for x in weighted.graph.vertices},
-    })
-    return EXIT_OK
+    }, True
 
 
-def _run_cover_check(cfg: RunConfig) -> int:
-    cover = documents.cover_from_document(documents.load_document(cfg.input_path))
+def _cover_check(cover, ns):
     report = gog.check_covering(cover)
     result = {
         "valid": report.ok,
@@ -308,47 +227,91 @@ def _run_cover_check(cfg: RunConfig) -> int:
             "equality": inequality.equality,
             "ratio": inequality.ratio,
         }
-    _emit(cfg, result)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return result, report.ok
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "volume": _run_volume,
-    "entropy": _run_entropy,
-    "minimize": _run_minimize,
-    "oracle": _run_oracle,
-    "reduce": _run_reduce,
-    "gog-entropy": _run_gog_entropy,
-    "gog-minimize": _run_gog_minimize,
-    "cover-check": _run_cover_check,
+_SOLVER = (
+    ("--tol-root", {"type": _tolerance, "default": config.ROOT_TOL}),
+    ("--tol-residual", {"type": _tolerance, "default": config.RESIDUAL_TOL}),
+)
+_DUMP_MATRIX = (("--dump-matrix", {"action": "store_true"}),)
+_SAMPLES = (
+    ("--samples", {
+        "type": _nonnegative, "default": config.SAMPLE_COUNT,
+        "help": "random volume-1 metrics checked against the minimum (0 disables)",
+    }),
+    ("--seed", {"type": _nonnegative, "default": config.SAMPLE_SEED}),
+)
+_ORACLE = (
+    ("--r-max", {
+        "type": _positive, "default": config.ORACLE_R_MAX_GRID,
+        "help": "radius in integer grid units",
+    }),
+    ("--base-vertex", {"default": None}),
+)
+_graph, _gog = documents.graph_from_document, documents.gog_from_document
+
+# subcommand: (handler, document parser, help text, options besides --format)
+_COMMANDS = {
+    "validate": (
+        _validate, _graph, "check the standing hypotheses for entropy operations", (),
+    ),
+    "volume": (_volume, _graph, "total length of the unoriented edges", ()),
+    "entropy": (
+        _entropy, _graph, "solve for the volume entropy and its fixed-point vector",
+        _SOLVER + _DUMP_MATRIX,
+    ),
+    "minimize": (
+        _minimize, _graph, "closed-form minimal entropy and minimizing metric",
+        _SOLVER + _SAMPLES,
+    ),
+    "oracle": (_oracle, _graph, "exact path counts and a growth-rate estimate", _ORACLE),
+    "reduce": (_reduce, _graph, "eliminate valency-2 vertices", ()),
+    "gog-entropy": (
+        _gog_entropy, _gog, "entropy of a graph of groups", _SOLVER + _DUMP_MATRIX,
+    ),
+    "gog-minimize": (
+        _gog_minimize, _gog, "minimal entropy and metric of a graph of groups", (),
+    ),
+    "cover-check": (
+        _cover_check, documents.cover_from_document,
+        "verify an n-sheeted covering and its entropy inequality", (),
+    ),
 }
 
+# Checked in order: the first matching class gives the exit status.
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (FileNotFoundError, EXIT_USAGE),
+    (DocumentError, EXIT_USAGE),
+    (GraphError, EXIT_INVALID),
+    (ConvergenceError, EXIT_NUMERICAL),
+)
 
-def run(cfg: RunConfig) -> int:
-    try:
-        return _HANDLERS[cfg.subcommand](cfg)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="volentropy", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, _, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", type=Path, help="input document")
+        p.add_argument("--format", choices=("human", "structured"), default="human")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(cfg)
+        ns = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        handler, parse_document, _, _ = _COMMANDS[ns.subcommand]
+        result, ok = handler(parse_document(documents.load_document(ns.input)), ns)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        label = "usage error" if isinstance(exc, UsageError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    _emit(ns, result)
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 if __name__ == "__main__":

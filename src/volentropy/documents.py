@@ -27,7 +27,7 @@ from typing import Any
 import yaml
 
 from .errors import DocumentError
-from .graph import FORWARD, MetricGraph, oriented_id
+from .graph import MetricGraph, oriented_id
 
 _GRAPH_KEYS = {"vertices", "edges", "groups"}
 _COVER_KEYS = {"source", "target", "vmap", "emap"}
@@ -87,7 +87,7 @@ def _edge_records(doc: Mapping, require_lengths: bool):
     if not isinstance(edges, list):
         raise DocumentError("edges: must be a list")
     explicit = set()
-    for i, entry in enumerate(edges):
+    for entry in edges:
         if isinstance(entry, Mapping) and isinstance(entry.get("id"), str):
             explicit.add(entry["id"])
     records = []

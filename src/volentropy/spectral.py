@@ -293,6 +293,11 @@ def perron_at(
     part.  A larger ``TripletMatrix`` goes through ``power_iteration`` from
     ``start``, a positive vector such as the Perron vector at a nearby h, or
     from the all-ones vector; the eigendecomposition ignores ``start``.
+
+    At widely spread edge weights the eigendecomposition can return the
+    right root with an inaccurate vector (LAPACK balances the matrix first;
+    James, Langou and Lowery, arXiv:1401.5766).  A vector whose residual
+    exceeds ``POWER_RESIDUAL_TOL`` is refined by ``power_iteration``.
     """
     matrix = assemble(rows, cols, vals, n, h, lengths)
     if not isinstance(matrix, np.ndarray):
@@ -300,11 +305,14 @@ def perron_at(
         return radius, vec, matrix
     values, vectors = np.linalg.eig(matrix)
     k = int(np.argmax(values.real))
+    radius = float(values[k].real)
     vec = np.abs(vectors[:, k].real)
     vec /= np.max(vec)
+    if float(np.max(np.abs(matrix @ vec - radius * vec))) > config.POWER_RESIDUAL_TOL:
+        radius, vec, _, _ = power_iteration(matrix, vec)
     if float(np.min(vec)) <= 0.0:
         raise ConvergenceError("Perron vector has a nonpositive entry")
-    return float(values[k].real), vec, matrix
+    return radius, vec, matrix
 
 
 def left_perron_vector(

@@ -208,6 +208,47 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["entropy", "--bogus"]) == 3
 
 
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [
+        ("entropy", "--tol-root", "0"),
+        ("entropy", "--tol-root", "nan"),
+        ("entropy", "--tol-root", "inf"),
+        ("entropy", "--tol-root", "-1e-9"),
+        ("entropy", "--tol-residual", "nan"),
+        ("entropy", "--tol-residual", "inf"),
+        ("gog-entropy", "--tol-residual", "0"),
+        ("oracle", "--r-max", "0"),
+        ("minimize", "--samples", "-1"),
+        ("minimize", "--seed", "-1"),
+        ("minimize", "--samples", "1.5"),
+    ],
+)
+def test_out_of_range_argument_is_usage_error(capsys, theta_file, subcommand, flag, value):
+    assert main([subcommand, theta_file, f"{flag}={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: argument {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["validate", "volume", "oracle", "reduce", "gog-minimize", "cover-check"]
+)
+def test_tolerances_only_where_a_solve_reads_them(capsys, theta_file, subcommand):
+    for flag in ("--tol-root", "--tol-residual"):
+        assert main([subcommand, theta_file, flag, "1e-6"]) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy"], ["minimize", "--samples", "2"], ["gog-entropy"]],
+)
+def test_solving_subcommands_take_tolerances(capsys, theta_file, argv):
+    argv = [argv[0], theta_file, *argv[1:], "--tol-root", "1e-10", "--tol-residual", "1e-6"]
+    assert main(argv) == 0
+
+
 def test_nonconvergence_is_numerical_error(capsys, theta_file):
     code = main(["entropy", theta_file, "--tol-residual", "1e-18"])
     assert code == 2

@@ -189,6 +189,27 @@ def test_homogeneity(alpha):
         assert scaled == pytest.approx(base / alpha, rel=1e-9)
 
 
+def _k4_one_long_edge(ratio):
+    g = complete(4)
+    return g.with_lengths({eid: ratio if eid == "e1" else 1 for eid in g.unoriented_ids})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_k4_one_long_edge(100), _k4_one_long_edge(300), _k4_one_long_edge(1000),
+     dumbbell((1, 1, 5000)), theta((1, 1, 10**4))],
+    ids=["k4-100", "k4-300", "k4-1000", "dumbbell-1:1:5000", "theta-1:1:1e4"],
+)
+def test_length_ratios(g, monkeypatch):
+    # At these ratios the eigendecomposition's Perron vector can be far off
+    # (residual 1.0 on K4 at 300:1) although its eigenvalue is right; the
+    # iterative path (every matrix through power iteration) is the reference.
+    sol = volume_entropy(g)
+    assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
+    monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", 1)
+    assert sol.h == pytest.approx(volume_entropy(g).h, rel=1e-12)
+
+
 def test_reduction_invariance():
     g = build_graph(graph_doc(
         ["a", "b", "m"],
