@@ -3,7 +3,11 @@
 One input document per invocation; results go to stdout either as a
 human-readable report or as a single JSON document with a schema_version
 field.  Exit status: 0 success, 1 invalid graph or failed validation,
-2 numerical failure, 3 usage error.
+2 numerical failure, 3 usage error.  Only the subcommands that solve for an
+entropy load numpy: entropy, gog-entropy, cover-check, and minimize with
+samples or valency-2 chains.  The solver modules are imported where a
+solve runs, so validate, volume, oracle, reduce and gog-minimize start
+without numpy, and so does minimize --samples 0 on a graph without chains.
 """
 
 from __future__ import annotations
@@ -14,10 +18,15 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import config, documents, entropy, gog, optimizer, oracle, spectral
+from . import config, documents, gog, optimizer, oracle
 from .errors import ConvergenceError, DocumentError, GraphError
 from .graph import series_reduce, validate_entropy_hypotheses, volume
+
+if TYPE_CHECKING:
+    from .entropy import EntropySolution
+    from .spectral import EdgeSystem
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +91,7 @@ def _emit(ns: argparse.Namespace, result: dict) -> None:
             print(f"{key}: {_fmt(value)}")
 
 
-def _solution_result(solution: entropy.EntropySolution) -> dict:
+def _solution_result(solution: EntropySolution) -> dict:
     return {
         "h": solution.h,
         "vector": dict(sorted(solution.vector.items())),
@@ -92,7 +101,7 @@ def _solution_result(solution: entropy.EntropySolution) -> dict:
     }
 
 
-def _matrix_dump(system: spectral.EdgeSystem, h: float) -> list[str]:
+def _matrix_dump(system: EdgeSystem, h: float) -> list[str]:
     ids, lengths = system.edge_ids, system.lengths.tolist()
     return [
         f"{ids[i]} {ids[j]} {v * math.exp(-h * lengths[j])!r}"
@@ -126,6 +135,8 @@ def _volume(g, ns):
 
 
 def _entropy(g, ns):
+    from . import entropy, spectral
+
     solution = entropy.volume_entropy(
         g, root_tol=ns.tol_root, residual_tol=ns.tol_residual
     )
@@ -150,6 +161,8 @@ def _minimize(g, ns):
         }
         result["chain_totals"] = dict(sorted(minimal.chain_totals.items()))
     if ns.samples:
+        from . import entropy
+
         worst = min(
             entropy.volume_entropy(
                 g.with_lengths(lengths), root_tol=ns.tol_root, residual_tol=ns.tol_residual
@@ -163,7 +176,7 @@ def _minimize(g, ns):
 
 
 def _oracle(g, ns):
-    x0 = ns.base_vertex or g.vertices[0]
+    x0 = g.vertices[0] if ns.base_vertex is None else ns.base_vertex
     if x0 not in g.vertices:
         raise GraphError(f"unknown base vertex {x0!r}")
     denominator = math.lcm(*(v.denominator for v in g.lengths.values()))
@@ -192,6 +205,8 @@ def _gog_entropy(weighted, ns):
     result = _solution_result(solution)
     result["degrees"] = {x: gog.degree(weighted, x) for x in weighted.graph.vertices}
     if ns.dump_matrix:
+        from . import spectral
+
         orders = (weighted.vertex_order, weighted.edge_order)
         result["matrix"] = _matrix_dump(
             spectral.edge_system(weighted.graph, orders), solution.h
@@ -282,7 +297,6 @@ _COMMANDS = {
 # Checked in order: the first matching class gives the exit status.
 _EXIT_CODES = (
     (UsageError, EXIT_USAGE),
-    (FileNotFoundError, EXIT_USAGE),
     (DocumentError, EXIT_USAGE),
     (GraphError, EXIT_INVALID),
     (ConvergenceError, EXIT_NUMERICAL),

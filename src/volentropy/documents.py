@@ -61,7 +61,12 @@ def format_rational(value: Fraction) -> int | str:
 
 def load_document(path: str | Path) -> Mapping:
     """Load a YAML/JSON document from disk."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
 
 from . import config, spectral
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph, validate_entropy_hypotheses
+from .graph import (  # noqa: F401  (ResidualReport, verify_fixed_point re-exported)
+    MetricGraph,
+    ResidualReport,
+    validate_entropy_hypotheses,
+    verify_fixed_point,
+    volume,
+)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def solve_unit_radius(
     radius evaluation starts from the Perron vector of the one before.
     """
     rows, cols, vals, n = system.rows, system.cols, system.vals, system.order
-    scale = float(np.max(system.lengths))
+    scale = float(system.lengths.max())
     lengths = system.lengths / scale
     radius0, x, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
     evaluations = 1
@@ -72,10 +75,10 @@ def solve_unit_radius(
             "entropy to be positive"
         )
     # rho(0) exp(-h l_max) <= rho(h) <= rho(0) exp(-h l_min) brackets the root.
-    lo, hi = 0.0, math.log(radius0) / float(np.min(lengths))
+    lo, hi = 0.0, math.log(radius0) / float(lengths.min())
     hi_probed = False
     margin = root_tol / 3.0
-    h = math.log(radius0) / float(np.max(lengths))
+    h = math.log(radius0) / float(lengths.max())
     while True:
         if evaluations >= config.ROOT_MAX_EVALUATIONS:
             raise ConvergenceError(
@@ -102,7 +105,7 @@ def solve_unit_radius(
     h = 0.5 * (lo + hi)
     _, vec, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths, start=x)
     evaluations += 1
-    residual = float(np.max(np.abs(vec - matrix @ vec)))
+    residual = float(abs(vec - matrix @ vec).max())
     if residual > residual_tol:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} exceeds {residual_tol:.1e}"
@@ -131,40 +134,6 @@ def volume_entropy(
     return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    max_residual: float
-    mean_residual: float
-    worst_edge: str
-
-
-def verify_fixed_point(
-    g: MetricGraph, h: float, x: Mapping[str, float]
-) -> ResidualReport:
-    """Residuals of the fixed-point system at (h, x); pure check."""
-    if set(x) != {e.id for e in g.edges}:
-        raise GraphError("vector must assign a value to every oriented edge")
-    if any(not v > 0 for v in x.values()):
-        raise GraphError("vector entries must be strictly positive")
-    worst_edge = ""
-    worst = -1.0
-    total = 0.0
-    for e in g.edges:
-        rhs = sum(
-            math.exp(-h * float(g.length(f))) * x[f]
-            for f in g.out_edges(e.terminus)
-            if f != e.reversal
-        )
-        defect = abs(x[e.id] - rhs)
-        total += defect
-        if defect > worst:
-            worst = defect
-            worst_edge = e.id
-    return ResidualReport(worst, total / len(g.edges), worst_edge)
-
-
 def entropy_volume_product(g: MetricGraph, **kwargs) -> float:
     """h_vol times volume; invariant under rescaling the metric."""
-    from .graph import volume
-
     return volume_entropy(g, **kwargs).h * float(volume(g))

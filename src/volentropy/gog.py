@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import config, spectral
-from .entropy import EntropySolution, solve_unit_radius
+from . import config
 from .errors import GraphError
 from .graph import Length, MetricGraph, base_id
+
+if TYPE_CHECKING:
+    from .entropy import EntropySolution
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,9 @@ def gog_entropy(
     Solves for unit spectral radius of the multiplicity-weighted matrix;
     reduces exactly to the plain solver when all orders are 1.
     """
+    from . import spectral
+    from .entropy import solve_unit_radius
+
     if not gog.has_lengths:
         raise GraphError("graph of groups has no lengths")
     _require_degrees(gog)

@@ -10,6 +10,7 @@ allowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -294,6 +295,38 @@ def validate_entropy_hypotheses(g: MetricGraph) -> HypothesesReport:
         not_single_cycle=not is_cycle,
         cycle_witness="graph is a cycle" if is_cycle else None,
     )
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    max_residual: float
+    mean_residual: float
+    worst_edge: str
+
+
+def verify_fixed_point(
+    g: MetricGraph, h: float, x: Mapping[str, float]
+) -> ResidualReport:
+    """Residuals of the fixed-point system at (h, x); pure check."""
+    if set(x) != {e.id for e in g.edges}:
+        raise GraphError("vector must assign a value to every oriented edge")
+    if any(not v > 0 for v in x.values()):
+        raise GraphError("vector entries must be strictly positive")
+    worst_edge = ""
+    worst = -1.0
+    total = 0.0
+    for e in g.edges:
+        rhs = sum(
+            math.exp(-h * float(g.length(f))) * x[f]
+            for f in g.out_edges(e.terminus)
+            if f != e.reversal
+        )
+        defect = abs(x[e.id] - rhs)
+        total += defect
+        if defect > worst:
+            worst = defect
+            worst_edge = e.id
+    return ResidualReport(worst, total / len(g.edges), worst_edge)
 
 
 def series_reduce(g: MetricGraph) -> tuple[MetricGraph, dict[str, tuple[str, ...]]]:

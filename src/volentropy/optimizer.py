@@ -15,12 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from . import config, spectral
-from .entropy import verify_fixed_point
+from . import config
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph, base_id, series_reduce, validate_entropy_hypotheses
+from .graph import (
+    MetricGraph,
+    base_id,
+    series_reduce,
+    validate_entropy_hypotheses,
+    verify_fixed_point,
+)
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
         piece = reduced_result.lengths[new_id] / len(chain)
         for oriented in chain:
             lengths[base_id(oriented)] = piece
+    from . import spectral
+
     metered = g.with_lengths(lengths)
     system = spectral.edge_system(metered)
     h = reduced_result.h_min
@@ -201,6 +206,8 @@ def sample_normalized_metrics(
     g: MetricGraph, count: int, seed: int = config.SAMPLE_SEED
 ) -> Iterator[dict[str, float]]:
     """Symmetric-Dirichlet random volume-1 metrics on the unoriented edges."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     ids = g.unoriented_ids
     for _ in range(count):

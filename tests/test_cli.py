@@ -193,8 +193,61 @@ def test_runs_without_scipy():
     assert float(done.stdout) == pytest.approx(h, rel=1e-12)
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "theta.yaml"],
+        ["oracle", "theta.yaml", "--r-max", "40"],
+        ["gog-minimize", "segment34.yaml"],
+        ["minimize", "k4.yaml", "--samples", "0"],
+    ],
+)
+def test_non_solving_subcommands_skip_numpy(capsys, argv):
+    # A fresh interpreter in which importing numpy fails must run the
+    # subcommands that solve nothing, with the same output as in process.
+    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from volentropy.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     assert main(["entropy", str(tmp_path / "nope.graph")]) == 3
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
+def test_unreadable_document_is_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "doc.graph"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"vertices: [\xff\xfe]\n")
+    assert main(["entropy", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_empty_base_vertex_is_unknown(capsys, theta_file):
+    assert main(["oracle", theta_file, "--base-vertex", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown base vertex ''" in captured.err
 
 
 def test_malformed_document_is_usage_error(capsys, tmp_path):
