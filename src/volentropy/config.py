@@ -16,12 +16,15 @@ RESIDUAL_TOL = 1e-9
 # Power iteration (on M plus a quarter of its Rayleigh quotient times I,
 # from the first step): relative change between successive Rayleigh-quotient
 # estimates, then the max-norm residual threshold, and the iteration cap.
+# POWER_RQ_TOL also bounds the dense inverse iteration's Collatz-Wielandt
+# gap, max (Mx)/x - min (Mx)/x, relative to its upper end.
 POWER_RQ_TOL = 1e-14
 POWER_RESIDUAL_TOL = 1e-12
 POWER_MAX_ITER = 10**6
 
-# Dense matrices (np.linalg.eig) below this oriented edge count; from it up,
-# a triplet operator with a numpy bincount product (power iteration).
+# Dense matrices (shifted inverse iteration, np.linalg.solve) below this
+# oriented edge count; from it up, a triplet operator with a numpy bincount
+# product (power iteration).
 DENSE_EDGE_LIMIT = 64
 
 # Path-count oracle: default radius in integer grid units, number of fit

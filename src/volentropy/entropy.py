@@ -4,14 +4,15 @@ spectral radius.
 The Perron root rho(h) of the h-weighted non-backtracking matrix starts
 above 1 (the graph is not a cycle), and log rho(h) is decreasing and, by
 Kingman's theorem (Kingman 1961), convex in h.  Newton's method on
-log rho, started at the lower bound log rho(0) / l_max, therefore rises
-monotonically to the root.  Its derivative needs the left Perron vector,
-which the reversal involution gives from the right one without a second
-eigensolve.  Each step aims a third of the root tolerance short of the
-root, so no iterate lands within rounding of it; a safeguard bisects back
-inside the bracket if rounding pushes an iterate past the root anyway, and
-a final probe the same distance past the root closes a sign bracket
-narrower than the root tolerance.
+log rho, started at its tangent root from h = 0 (a lower bound, at least
+log rho(0) / l_max), therefore rises monotonically to the root.  Its
+derivative needs the left Perron vector, which the reversal involution
+gives from the right one without a second Perron solve.  Each step aims a
+third of the root tolerance short of the root, so no iterate lands within
+rounding of it; a safeguard bisects back inside the bracket if rounding
+pushes an iterate past the root anyway, and a final probe the same
+distance past the root closes a sign bracket narrower than the root
+tolerance.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def solve_unit_radius(
     lo, hi = 0.0, math.log(radius0) / float(lengths.min())
     hi_probed = False
     margin = root_tol / 3.0
-    h = math.log(radius0) / float(lengths.max())
+    # log rho is convex, so its tangent root at h = 0 is below the root.
+    y = spectral.left_perron_vector(x, 0.0, lengths, system.reversal, system.edge_orders)
+    h = math.log(radius0) * float(y @ x) / float(y @ (lengths * x))
     while True:
         if evaluations >= config.ROOT_MAX_EVALUATIONS:
             raise ConvergenceError(

@@ -288,31 +288,37 @@ def perron_at(
 ) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
     """Perron root, max-normalized Perron vector and the assembled matrix at h.
 
-    A dense matrix (below ``DENSE_EDGE_LIMIT`` edges) is solved by a full
-    eigendecomposition: the Perron root is the eigenvalue of largest real
-    part.  A larger ``TripletMatrix`` goes through ``power_iteration`` from
-    ``start``, a positive vector such as the Perron vector at a nearby h, or
-    from the all-ones vector; the eigendecomposition ignores ``start``.
-
-    At widely spread edge weights the eigendecomposition can return the
-    right root with an inaccurate vector (LAPACK balances the matrix first;
-    James, Langou and Lowery, arXiv:1401.5766).  A vector whose residual
-    exceeds ``POWER_RESIDUAL_TOL`` is refined by ``power_iteration``.
+    Both paths start from ``start``, a positive vector such as the Perron
+    vector at a nearby h, or from the all-ones vector.  A ``TripletMatrix``
+    (from ``DENSE_EDGE_LIMIT`` edges up) goes through ``power_iteration``.
+    A dense matrix goes through inverse iteration shifted by its
+    Collatz-Wielandt bounds: for positive x, the ratios r = (Mx) / x satisfy
+    min r <= rho <= max r (Seneta, *Non-negative Matrices and Markov
+    Chains*, 1.1).  The iteration stops once the gap between them is within
+    ``POWER_RQ_TOL`` of the upper bound, and returns their midpoint.
+    Otherwise it solves ((max r + gap) I - M) y = x: the shift is above rho,
+    so the system is a nonsingular M-matrix with a positive inverse.  If
+    rounding still yields a nonpositive y, or the gap stops shrinking, the
+    current vector goes to ``power_iteration``; that happens when Perron
+    entries fall below rounding of the largest.
     """
     matrix = assemble(rows, cols, vals, n, h, lengths)
-    if not isinstance(matrix, np.ndarray):
-        radius, vec, _, _ = power_iteration(matrix, start)
-        return radius, vec, matrix
-    values, vectors = np.linalg.eig(matrix)
-    k = int(np.argmax(values.real))
-    radius = float(values[k].real)
-    vec = np.abs(vectors[:, k].real)
-    vec /= np.max(vec)
-    if float(np.max(np.abs(matrix @ vec - radius * vec))) > config.POWER_RESIDUAL_TOL:
-        radius, vec, _, _ = power_iteration(matrix, vec)
-    if float(np.min(vec)) <= 0.0:
-        raise ConvergenceError("Perron vector has a nonpositive entry")
-    return radius, vec, matrix
+    x = np.ones(n) if start is None else start
+    gap = math.inf
+    while isinstance(matrix, np.ndarray):
+        ratios = (matrix @ x) / x
+        lower, upper = float(ratios.min()), float(ratios.max())
+        if upper - lower <= config.POWER_RQ_TOL * upper:
+            return 0.5 * (lower + upper), x, matrix
+        if not upper - lower < gap:
+            break
+        gap = upper - lower
+        y = np.linalg.solve((upper + gap) * np.eye(n) - matrix, x)
+        if not float(y.min()) > 0.0:
+            break
+        x = y / float(y.max())
+    radius, x, _, _ = power_iteration(matrix, x)
+    return radius, x, matrix
 
 
 def left_perron_vector(

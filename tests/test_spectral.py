@@ -9,16 +9,28 @@ from hypothesis import assume, given, settings
 
 from volentropy import (
     edge_adjacency,
+    gog_entropy,
     is_irreducible,
     sample_normalized_metrics,
     spectral_radius,
+    volume_entropy,
     weighted_matrix,
 )
-from volentropy import config
+from volentropy import config, spectral
+from volentropy.documents import gog_from_document
 from volentropy.errors import GraphError
 from volentropy.spectral import power_iteration, strongly_connected_components
 
-from builders import complete, complete_bipartite, cycle, dumbbell, path_graph, single_loop, theta
+from builders import (
+    EDGE_ORDERS_GOG_DOC,
+    complete,
+    complete_bipartite,
+    cycle,
+    dumbbell,
+    path_graph,
+    single_loop,
+    theta,
+)
 from test_graph import metric_graphs
 
 
@@ -150,6 +162,38 @@ def test_dense_and_sparse_agree(monkeypatch):
     monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", 1)
     sparse_radius = spectral_radius(weighted_matrix(g, 0.7)).radius
     assert sparse_radius == pytest.approx(dense, abs=1e-12)
+
+
+def _system_and_root(name):
+    if name == "edge-orders-gog":
+        gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+        orders = (gog.vertex_order, gog.edge_order)
+        return spectral.edge_system(gog.graph, orders), gog_entropy(gog).h
+    g = {
+        "theta-1:2:3": theta((1, 2, 3)),
+        "k4": complete(4),
+        "k34": complete_bipartite(3, 4),
+        "dumbbell-1:2:1": dumbbell((1, 2, 1)),
+    }[name]
+    return spectral.edge_system(g), volume_entropy(g).h
+
+
+@pytest.mark.parametrize(
+    "name", ["theta-1:2:3", "k4", "k34", "dumbbell-1:2:1", "edge-orders-gog"]
+)
+def test_dense_perron_root_against_eigenvalues(name):
+    # The eigenvalue of largest real part from a full eigendecomposition is
+    # an independent reference for the dense inverse iteration.
+    system, solved = _system_and_root(name)
+    assert system.order < config.DENSE_EDGE_LIMIT
+    for h in (0.0, 0.4, 1.3, solved):
+        radius, x, matrix = spectral.perron_at(
+            system.rows, system.cols, system.vals, system.order, h, system.lengths
+        )
+        reference = float(np.max(np.linalg.eigvals(matrix).real))
+        assert radius == pytest.approx(reference, rel=1e-13)
+        assert np.min(x) > 0
+        assert np.max(np.abs(matrix @ x - radius * x)) <= 1e-12
 
 
 def test_large_graph_uses_sparse_path():
