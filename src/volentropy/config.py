@@ -16,8 +16,10 @@ RESIDUAL_TOL = 1e-9
 # Power iteration (on M plus a quarter of its Rayleigh quotient times I,
 # from the first step): relative change between successive Rayleigh-quotient
 # estimates, then the max-norm residual threshold, and the iteration cap.
-# POWER_RQ_TOL also bounds the dense inverse iteration's Collatz-Wielandt
-# gap, max (Mx)/x - min (Mx)/x, relative to its upper end.
+# The two tolerances govern full-precision evaluations only: an intermediate
+# Newton evaluation stops as soon as its Collatz-Wielandt bounds settle the
+# side of 1.  POWER_RQ_TOL also bounds the dense inverse iteration's
+# Collatz-Wielandt gap, max (Mx)/x - min (Mx)/x, relative to its upper end.
 POWER_RQ_TOL = 1e-14
 POWER_RESIDUAL_TOL = 1e-12
 POWER_MAX_ITER = 10**6

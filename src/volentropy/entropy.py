@@ -63,7 +63,10 @@ def solve_unit_radius(
     h(alpha * lengths) = h(lengths) / alpha, the root is found for lengths
     scaled to a longest edge of 1 and scaled back, so ``root_tol`` bounds
     the bracket width times the longest length at any length scale.  Each
-    radius evaluation starts from the Perron vector of the one before.
+    radius evaluation starts from the Perron vector of the one before.  The
+    Newton evaluations pass target 1, so power iteration may stop once rho
+    is certified to lie on one side of 1; the evaluation at h = 0, which
+    sets the bracket's right end, and the final one run to full precision.
     """
     rows, cols, vals, n = system.rows, system.cols, system.vals, system.order
     scale = float(system.lengths.max())
@@ -88,7 +91,9 @@ def solve_unit_radius(
                 f"entropy root not bracketed to {root_tol:.1e} in {evaluations} "
                 f"evaluations (bracket {lo!r}, {hi!r})"
             )
-        radius, x, _ = spectral.perron_at(rows, cols, vals, n, h, lengths, start=x)
+        radius, x, _ = spectral.perron_at(
+            rows, cols, vals, n, h, lengths, start=x, target=1.0
+        )
         evaluations += 1
         if radius > 1.0:
             lo = h
@@ -128,7 +133,7 @@ def volume_entropy(
     if not report.ok:
         raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
     system = spectral.edge_system(g)
-    if len(system.components) != 1:
+    if not system.irreducible:
         # The hypotheses leave a branch vertex, so this is the valency criterion.
         raise RuntimeError(
             "internal consistency failure: strong connectivity and the "

@@ -122,7 +122,7 @@ def gog_entropy(
     if len(g.components()) > 1:
         raise GraphError("graph of groups must be connected")
     system = spectral.edge_system(g, (gog.vertex_order, gog.edge_order))
-    if len(system.components) != 1:
+    if not system.irreducible:
         raise GraphError("multiplicity matrix is reducible")
     return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
 

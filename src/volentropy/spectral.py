@@ -30,7 +30,8 @@ class EdgeSystem:
     ``vals`` are the continuation multiplicities as row-major triplets;
     ``lengths``, ``reversal`` and ``edge_orders`` give per edge its float
     length, the index of its reversal and its group order |G_e|;
-    ``components`` are the strongly connected components, as index tuples.
+    ``irreducible`` says whether the triplets' support is strongly
+    connected, found by reachability from edge 0 and its reversal.
     """
 
     edge_ids: tuple[str, ...]
@@ -40,7 +41,7 @@ class EdgeSystem:
     lengths: np.ndarray
     reversal: np.ndarray
     edge_orders: np.ndarray
-    components: tuple[tuple[int, ...], ...]
+    irreducible: bool
 
     @property
     def order(self) -> int:
@@ -121,51 +122,83 @@ def edge_system(
     """The edge system of g, or of a graph of groups on g.
 
     ``orders`` holds a graph of groups' vertex orders and edge orders, the
-    latter keyed by unoriented edge id; None means every order is 1.
+    latter keyed by unoriented edge id; None means every order is 1.  One
+    pass over the edges gives origin, terminus and reversal indices; the
+    triplets come from index arrays, in row-major order with each row's
+    columns ascending.
     """
+    vertex_index = {x: i for i, x in enumerate(g.vertices)}
+    index = g.edge_index
+    n = len(g.edges)
+    triples = chain.from_iterable(
+        (vertex_index[e.origin], vertex_index[e.terminus], index[e.reversal]) for e in g.edges
+    )
+    origin, terminus, reversal = np.fromiter(triples, np.intp, 3 * n).reshape(n, 3).T.copy()
     if orders is None:
-        vertex_order = dict.fromkeys(g.vertices, 1)
-        edge_orders = [1] * len(g.edges)
+        edge_orders = np.ones(n, dtype=np.intp)
+        lifts = edge_orders
     else:
         vertex_order, edge_order = orders
-        edge_orders = [edge_order[base_id(e.id)] for e in g.edges]
-    index = g.edge_index
-    # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
-    lifts = {
-        x: [(index[f], vertex_order[x] // edge_orders[index[f]]) for f in g.out_edges(x)]
-        for x in g.vertices
-    }
-    reversal = [index[e.reversal] for e in g.edges]
-    successors: list[list[int]] = []
-    vals: list[int] = []
-    for e, back in zip(g.edges, reversal):
-        row = []
-        for j, m in lifts[e.terminus]:
-            if j == back:
-                m -= 1  # one lift of the reversal is the backtrack
-            if m > 0:
-                row.append(j)
-                vals.append(m)
-        successors.append(row)
-    n = len(successors)
+        edge_orders = np.array([edge_order[base_id(e.id)] for e in g.edges], dtype=np.intp)
+        # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
+        lifts = np.array([vertex_order[x] for x in g.vertices], dtype=np.intp)[origin] // edge_orders
+    # Stable, so each vertex's out-edges keep ascending index order.
+    out = origin.argsort(kind="stable")
+    degree = np.bincount(origin, minlength=len(g.vertices))
+    count = degree[terminus]
+    ends = count.cumsum()
+    rows = np.arange(n, dtype=np.intp).repeat(count)
+    # Each row's candidates are the out-edges of its terminus: the position
+    # in ``out`` of that vertex's first out-edge plus the rank in the row.
+    first = (degree.cumsum() - degree)[terminus] - ends + count
+    cols = out[np.arange(ends[-1]) + first.repeat(count)]
+    # One lift of the reversal is the backtrack.
+    vals = lifts[cols] - (cols == reversal[rows])
+    keep = vals > 0
+    rows, cols = rows[keep], cols[keep]
     return EdgeSystem(
         edge_ids=tuple(e.id for e in g.edges),
-        rows=np.repeat(np.arange(n, dtype=np.intp), [len(row) for row in successors]),
-        cols=np.fromiter(chain.from_iterable(successors), dtype=np.intp, count=len(vals)),
-        vals=np.array(vals, dtype=float),
+        rows=rows,
+        cols=cols,
+        vals=vals[keep].astype(float),
         lengths=np.array([float(g.lengths[e.id]) for e in g.edges]),
-        reversal=np.array(reversal, dtype=np.intp),
-        edge_orders=np.array(edge_orders, dtype=float),
-        components=tuple(map(tuple, strongly_connected_components(successors))),
+        reversal=reversal,
+        edge_orders=edge_orders.astype(float),
+        irreducible=_strongly_connected(rows, cols, reversal),
     )
+
+
+def _strongly_connected(rows: np.ndarray, cols: np.ndarray, reversal: np.ndarray) -> bool:
+    """Whether the support of the triplets is strongly connected.
+
+    The support is invariant under (e, f) -> (rev f, rev e), so the edges
+    that reach edge 0 are the reversals of those that rev 0 reaches.  One
+    loop grows both forward reaches, from 0 and from rev 0, on two copies of
+    the support; each round marks the successors of every edge seen.
+    """
+    n = len(reversal)
+    rows = np.concatenate((rows, rows + n))
+    cols = np.concatenate((cols, cols + n))
+    seen = np.zeros(2 * n, dtype=bool)
+    seen[0] = seen[n + reversal[0]] = True
+    reached = 2
+    while reached < 2 * n:
+        seen[cols[seen[rows]]] = True
+        reached, before = np.count_nonzero(seen), reached
+        if reached == before:
+            return False
+    return True
 
 
 def edge_adjacency(g: MetricGraph) -> EdgeAdjacency:
     """Non-backtracking adjacency of the oriented edges."""
     system = edge_system(g)
+    return EdgeAdjacency(system.order, system.edge_ids, _successors(system))
+
+
+def _successors(system: EdgeSystem) -> tuple[tuple[int, ...], ...]:
     bounds = np.cumsum(np.bincount(system.rows, minlength=system.order))[:-1]
-    successors = tuple(tuple(row.tolist()) for row in np.split(system.cols, bounds))
-    return EdgeAdjacency(system.order, system.edge_ids, successors)
+    return tuple(tuple(row.tolist()) for row in np.split(system.cols, bounds))
 
 
 def strongly_connected_components(
@@ -223,7 +256,8 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
 
     Cross-checked against the valency criterion (irreducible iff some vertex
     has valency at least three, for connected graphs without terminal
-    vertices); disagreement means an implementation bug and raises.
+    vertices); disagreement means an implementation bug and raises.  A
+    reducible system's witness is its strongly connected components.
     """
     if len(g.components()) > 1:
         raise GraphError("irreducibility requires a connected graph")
@@ -231,17 +265,17 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     if terminal:
         raise GraphError(f"irreducibility requires no terminal vertices; found {terminal}")
     system = edge_system(g)
-    irreducible = len(system.components) == 1
     has_branch_vertex = any(g.valency(x) >= 3 for x in g.vertices)
-    if irreducible != has_branch_vertex:
+    if system.irreducible != has_branch_vertex:
         raise RuntimeError(
             "internal consistency failure: strong connectivity and the "
             "valency criterion disagree"
         )
-    if irreducible:
+    if system.irreducible:
         return IrreducibilityReport(True, None)
     witness = tuple(
-        tuple(system.edge_ids[i] for i in component) for component in system.components
+        tuple(system.edge_ids[i] for i in component)
+        for component in strongly_connected_components(_successors(system))
     )
     return IrreducibilityReport(False, witness)
 
@@ -285,12 +319,15 @@ def perron_at(
     h: float,
     lengths: np.ndarray,
     start: np.ndarray | None = None,
+    target: float | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
     """Perron root, max-normalized Perron vector and the assembled matrix at h.
 
     Both paths start from ``start``, a positive vector such as the Perron
     vector at a nearby h, or from the all-ones vector.  A ``TripletMatrix``
-    (from ``DENSE_EDGE_LIMIT`` edges up) goes through ``power_iteration``.
+    (from ``DENSE_EDGE_LIMIT`` edges up) goes through ``power_iteration``,
+    which gets ``target`` and may stop early once rho is certified to lie on
+    one side of it.
     A dense matrix goes through inverse iteration shifted by its
     Collatz-Wielandt bounds: for positive x, the ratios r = (Mx) / x satisfy
     min r <= rho <= max r (Seneta, *Non-negative Matrices and Markov
@@ -299,8 +336,9 @@ def perron_at(
     Otherwise it solves ((max r + gap) I - M) y = x: the shift is above rho,
     so the system is a nonsingular M-matrix with a positive inverse.  If
     rounding still yields a nonpositive y, or the gap stops shrinking, the
-    current vector goes to ``power_iteration``; that happens when Perron
-    entries fall below rounding of the largest.
+    current vector goes to ``power_iteration``, with ``target``; that
+    happens when Perron entries fall below rounding of the largest.  The
+    inverse iteration itself always runs to full precision.
     """
     matrix = assemble(rows, cols, vals, n, h, lengths)
     x = np.ones(n) if start is None else start
@@ -317,7 +355,7 @@ def perron_at(
         if not float(y.min()) > 0.0:
             break
         x = y / float(y.max())
-    radius, x, _, _ = power_iteration(matrix, x)
+    radius, x, _, _ = power_iteration(matrix, x, target)
     return radius, x, matrix
 
 
@@ -341,8 +379,9 @@ def left_perron_vector(
 def power_iteration(
     matrix: np.ndarray | TripletMatrix,
     start: np.ndarray | None = None,
+    target: float | None = None,
 ) -> tuple[float, np.ndarray, int, float]:
-    """Dominant eigenvalue and max-normalized eigenvector.
+    """Dominant eigenvalue, max-normalized eigenvector, steps and residual.
 
     Power iteration on the shifted matrix M + (lam/4) I, where lam is the
     current Rayleigh quotient, from ``start`` (any positive vector) or from
@@ -350,7 +389,15 @@ def power_iteration(
     any c > 0, M + cI is primitive (Seneta, *Non-negative Matrices and
     Markov Chains*, 1.1): every eigenvalue lam' != rho of M has
     |lam' + c| < rho + c, so the iteration converges whatever the period of
-    M, and the shift leaves the Perron vector unchanged.
+    M, and the shift leaves the Perron vector unchanged.  It stops when the
+    Rayleigh quotient settles to ``POWER_RQ_TOL`` and the residual is within
+    ``POWER_RESIDUAL_TOL``.
+
+    With ``target`` set, each step with a positive x also forms the
+    Collatz-Wielandt bounds min r <= rho <= max r of r = (Mx) / x (Seneta,
+    1.1), and returns their midpoint once the interval excludes ``target``
+    by ten times its width: rho is then certified to lie on that side of
+    ``target``, which is all an intermediate Newton step needs.
     """
     x = np.ones(matrix.shape[0]) if start is None else start
     y = matrix @ x
@@ -366,6 +413,14 @@ def power_iteration(
             raise ConvergenceError("power iteration collapsed; matrix has a zero row")
         x = y / peak
         y = matrix @ x
+        if target is not None and float(x.min()) > 0.0:
+            ratios = y / x
+            lower, upper = float(ratios.min()), float(ratios.max())
+            # A tenth: a smaller factor spends more products per evaluation
+            # for little better Newton steps, a larger one more evaluations.
+            if upper - lower <= 0.1 * max(lower - target, target - upper):
+                radius = 0.5 * (lower + upper)
+                return radius, x, iteration, float(np.abs(y - radius * x).max())
         if abs(lam - lam_prev) <= config.POWER_RQ_TOL * lam:
             residual = float(np.max(np.abs(y - lam * x)))
             if residual <= config.POWER_RESIDUAL_TOL:
@@ -380,7 +435,7 @@ def power_iteration(
 
 def spectral_radius(m: WeightedEdgeMatrix) -> PerronResult:
     """Perron root and positive eigenvector of a weighted edge matrix."""
-    if len(m.base.components) != 1:
+    if not m.base.irreducible:
         raise GraphError("spectral radius requires an irreducible edge matrix")
     radius, vec, iterations, residual = power_iteration(m.entries)
     vector = {eid: float(v) for eid, v in zip(m.base.edge_ids, vec)}

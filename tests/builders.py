@@ -84,6 +84,39 @@ def complete_bipartite(m, n, length=1):
     return build_graph(graph_doc(vertices, edges))
 
 
+LENGTH_POOL = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+
+
+def random_cubic(n, seed):
+    """Connected random 3-regular multigraph on n vertices (configuration
+    model, loops and parallel edges kept), lengths from LENGTH_POOL."""
+    rng = np.random.default_rng(seed)
+    vertices = [f"v{i}" for i in range(n)]
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2).tolist()
+        edges = [
+            (f"e{k}", vertices[u], vertices[v], LENGTH_POOL[int(rng.integers(len(LENGTH_POOL)))])
+            for k, (u, v) in enumerate(pairs)
+        ]
+        try:
+            return build_graph(graph_doc(vertices, edges))
+        except GraphError:  # disconnected draw
+            continue
+
+
+def circular_ladder(rungs, seed):
+    """Prism graph on 2 * rungs vertices, lengths from LENGTH_POOL."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        edges += [(f"a{i}", f"a{i}", f"a{j}"), (f"b{i}", f"b{i}", f"b{j}"), (f"r{i}", f"a{i}", f"b{i}")]
+    vertices = [f"a{i}" for i in range(rungs)] + [f"b{i}" for i in range(rungs)]
+    return build_graph(graph_doc(vertices, [
+        (eid, u, v, LENGTH_POOL[int(rng.integers(len(LENGTH_POOL)))]) for eid, u, v in edges
+    ]))
+
+
 THETA_DOC = graph_doc(
     ["a", "b"], [("e1", "a", "b", 1), ("e2", "a", "b", 1), ("e3", "a", "b", 1)]
 )
@@ -132,9 +165,6 @@ EDGE_ORDERS_GOG_DOC = {
         "edge_orders": {"e1": 2, "e2": 2, "e3": 1, "e4": 3},
     },
 }
-
-
-LENGTH_POOL = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
 
 
 def _random_candidate(rng):

@@ -26,11 +26,13 @@ from volentropy.errors import GraphError
 
 from builders import (
     EDGE_ORDERS_GOG_DOC,
+    circular_ladder,
     complete,
     complete_bipartite,
     cycle,
     dumbbell,
     graph_doc,
+    random_cubic,
     theta,
 )
 from volentropy import build_graph
@@ -157,13 +159,63 @@ def test_long_period_subdivided_theta():
     assert sol.h == pytest.approx(LOG2 / 21, rel=1e-12)
 
 
+def _power_iteration_calls(monkeypatch, full_precision=False):
+    """Record (matrix, target, result) of every power iteration; with
+    ``full_precision`` the target is dropped, so no evaluation stops early."""
+    calls = []
+    power_iteration = spectral.power_iteration
+
+    def recorded(matrix, start=None, target=None):
+        if full_precision:
+            target = None
+        result = power_iteration(matrix, start, target)
+        calls.append((matrix, target, result))
+        return result
+
+    monkeypatch.setattr(spectral, "power_iteration", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g",
+    [circular_ladder(16, seed=0), random_cubic(200, seed=0)]
+    + [complete_bipartite(5, 7).with_lengths(m)
+       for m in sample_normalized_metrics(complete_bipartite(5, 7), 3, seed=0)],
+    ids=["ladder16", "cubic-200", "k57-0", "k57-1", "k57-2"],
+)
+def test_newton_evaluations_stop_early(g, monkeypatch):
+    # Every one of these has at least 64 oriented edges, so each evaluation
+    # runs power iteration; the Newton evaluations pass target 1.
+    assert len(g.edges) >= config.DENSE_EDGE_LIMIT
+    full_calls = _power_iteration_calls(monkeypatch, full_precision=True)
+    full = volume_entropy(g)
+    monkeypatch.undo()
+    calls = _power_iteration_calls(monkeypatch)
+    sol = volume_entropy(g)
+    assert sol.h == pytest.approx(full.h, rel=1e-12)
+    early = 0
+    for matrix, target, (radius, x, _, _) in calls:
+        if target is None:
+            continue
+        ratios = (matrix @ x) / x
+        lower, upper = float(ratios.min()), float(ratios.max())
+        if upper - lower <= 0.1 * max(lower - target, target - upper):
+            early += 1
+            assert radius == 0.5 * (lower + upper)
+            assert (lower > 1.0) == (upper > 1.0) == (radius > 1.0)
+    assert early >= 2
+    steps = sum(result[2] for _, _, result in calls)
+    full_steps = sum(result[2] for _, _, result in full_calls)
+    assert steps <= 0.7 * full_steps
+
+
 def test_unit_radius_needs_radius_above_one_at_zero():
     # A weighted 3-cycle has spectral radius 1/2 at h = 0: no positive root.
     idx = np.arange(3)
     system = spectral.EdgeSystem(
         edge_ids=("a", "b", "c"), rows=idx, cols=(idx + 1) % 3, vals=np.full(3, 0.5),
         lengths=np.ones(3), reversal=idx[::-1], edge_orders=np.ones(3),
-        components=((0, 1, 2),),
+        irreducible=True,
     )
     with pytest.raises(GraphError, match="must exceed 1"):
         solve_unit_radius(system)

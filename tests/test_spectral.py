@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from volentropy import (
     edge_adjacency,
@@ -19,6 +20,7 @@ from volentropy import (
 from volentropy import config, spectral
 from volentropy.documents import gog_from_document
 from volentropy.errors import GraphError
+from volentropy.graph import MetricGraph, base_id
 from volentropy.spectral import power_iteration, strongly_connected_components
 
 from builders import (
@@ -240,3 +242,95 @@ def test_irreducibility_cross_check_random(g):
     # is_irreducible raises internally if the SCC result and the valency
     # criterion ever disagree
     is_irreducible(g)
+
+
+def loop_edge_system(g, orders=None):
+    """The per-edge loop that built edge systems before the index arrays,
+    kept as the reference: (rows, cols, vals, lengths, reversal, orders)."""
+    if orders is None:
+        vertex_order = dict.fromkeys(g.vertices, 1)
+        edge_orders = [1] * len(g.edges)
+    else:
+        vertex_order, edge_order = orders
+        edge_orders = [edge_order[base_id(e.id)] for e in g.edges]
+    index = g.edge_index
+    lifts = {
+        x: [(index[f], vertex_order[x] // edge_orders[index[f]]) for f in g.out_edges(x)]
+        for x in g.vertices
+    }
+    reversal = [index[e.reversal] for e in g.edges]
+    rows, cols, vals = [], [], []
+    for i, (e, back) in enumerate(zip(g.edges, reversal)):
+        for j, m in lifts[e.terminus]:
+            if j == back:
+                m -= 1
+            if m > 0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(m)
+    lengths = [float(g.lengths[e.id]) for e in g.edges]
+    return rows, cols, vals, lengths, reversal, edge_orders
+
+
+def assert_matches_loop(g, orders=None):
+    system = spectral.edge_system(g, orders)
+    parts = ("rows", "cols", "vals", "lengths", "reversal", "edge_orders")
+    for part, expected in zip(parts, loop_edge_system(g, orders)):
+        got = getattr(system, part)
+        assert got.tolist() == expected, part
+        assert got.dtype == (np.intp if part in ("rows", "cols", "reversal") else float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric_graphs())
+def test_edge_system_matches_loop_reference(g):
+    assert_matches_loop(g)
+
+
+@st.composite
+def graphs_of_groups(draw):
+    """A multigraph with vertex orders from divisors of 12 and, per edge, an
+    order dividing both endpoint orders: the backtrack multiplicity
+    |G_x| / |G_e| - 1 is 0 where the two are equal and at least 1 elsewhere."""
+    g = draw(metric_graphs())
+    vertex_order = {x: draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for x in g.vertices}
+    edge_order = {}
+    for eid, u, v, _ in g.unoriented:
+        common = math.gcd(vertex_order[u], vertex_order[v])
+        edge_order[eid] = draw(st.sampled_from([d for d in range(1, common + 1) if common % d == 0]))
+    return g, (vertex_order, edge_order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_of_groups())
+def test_edge_system_of_groups_matches_loop_reference(drawn):
+    assert_matches_loop(*drawn)
+
+
+@pytest.mark.parametrize("edge_orders", [(2, 2, 1, 3), (6, 2, 6, 3)])
+def test_edge_system_backtrack_multiplicities(edge_orders):
+    # On two vertices of order 6, edge order 6 leaves no lift of the
+    # reversal to count (multiplicity 0); orders 1, 2 and 3 leave 5, 2, 1.
+    gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+    orders = dict(zip(("e1", "e2", "e3", "e4"), edge_orders))
+    assert_matches_loop(gog.graph, (gog.vertex_order, orders))
+
+
+# Theta with a pendant edge whose first orientation leaves the terminal
+# vertex: edge 0 reaches every edge, but its reversal is a sink.
+PENDANT_THETA = MetricGraph.from_unoriented(
+    ["a", "b", "t"],
+    [("e0", "t", "a", 1), ("e1", "a", "b", 1), ("e2", "a", "b", 1), ("e3", "a", "b", 1)],
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(metric_graphs(), graphs_of_groups()))
+@example(PENDANT_THETA)
+def test_reachability_flag_matches_tarjan(drawn):
+    g, orders = drawn if isinstance(drawn, tuple) else (drawn, None)
+    system = spectral.edge_system(g, orders)
+    successors = [[] for _ in range(system.order)]
+    for i, j in zip(system.rows.tolist(), system.cols.tolist()):
+        successors[i].append(j)
+    assert system.irreducible == (len(strongly_connected_components(successors)) == 1)
