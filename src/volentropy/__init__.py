@@ -7,12 +7,10 @@ oracle, and the n-sheeted covering inequality for graphs of groups.
 
 The public names below load their module on first access (PEP 562), so
 ``import volentropy`` imports no numpy.  numpy is imported by ``spectral``
-and by the metric sampler, and ``spectral`` only where a solve runs: the
-entropy solvers and the check of a minimizer pulled back through a series
-reduction.  Graphs, documents, the closed forms and the path-count oracle
-run without numpy, and so do the CLI subcommands built on them: validate,
-volume, oracle, reduce, gog-minimize, and minimize --samples 0 on a graph
-without valency-2 chains.
+and by the metric sampler, and ``spectral`` only where a solve runs, in the
+entropy solvers.  Graphs, documents, the closed forms and the path-count
+oracle run without numpy, and so do the CLI subcommands built on them:
+validate, volume, oracle, reduce, gog-minimize and minimize --samples 0.
 """
 
 from importlib import import_module

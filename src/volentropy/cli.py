@@ -5,9 +5,9 @@ human-readable report or as a single JSON document with a schema_version
 field.  Exit status: 0 success, 1 invalid graph or failed validation,
 2 numerical failure, 3 usage error.  Only the subcommands that solve for an
 entropy load numpy: entropy, gog-entropy, cover-check, and minimize with
-samples or valency-2 chains.  The solver modules are imported where a
-solve runs, so validate, volume, oracle, reduce and gog-minimize start
-without numpy, and so does minimize --samples 0 on a graph without chains.
+samples.  The solver modules are imported where a solve runs, so validate,
+volume, oracle, reduce, gog-minimize and minimize --samples 0 start without
+numpy.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ the user-facing ones.
 """
 
 # Root finding: width of the final sign bracket in h times the longest edge
-# length (a relative accuracy at any length scale), and the cap on radius
-# evaluations per solve.
+# length (a relative accuracy at any length scale; from a scaled root of
+# 2**13 up, where adjacent doubles lie farther apart than this, a bracket of
+# adjacent doubles ends the search), and the cap on radius evaluations per
+# solve.
 ROOT_TOL = 1e-12
 ROOT_MAX_EVALUATIONS = 200
 

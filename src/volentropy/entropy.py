@@ -18,7 +18,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import config, spectral
 from .errors import ConvergenceError, GraphError
@@ -62,16 +62,19 @@ def solve_unit_radius(
     orders yield the left Perron vector from the right one.  Since
     h(alpha * lengths) = h(lengths) / alpha, the root is found for lengths
     scaled to a longest edge of 1 and scaled back, so ``root_tol`` bounds
-    the bracket width times the longest length at any length scale.  Each
-    radius evaluation starts from the Perron vector of the one before.  The
-    Newton evaluations pass target 1, so power iteration may stop once rho
-    is certified to lie on one side of 1; the evaluation at h = 0, which
-    sets the bracket's right end, and the final one run to full precision.
+    the bracket width times the longest length at any length scale.  Where
+    the scaled root is so large (from 2**13 up, for the default
+    ``root_tol``) that adjacent doubles near it lie more than ``root_tol``
+    apart, the bracket closes to adjacent doubles instead.  Each radius
+    evaluation starts from the Perron vector of the one before.  The Newton
+    evaluations pass target 1, so power iteration may stop once rho is
+    certified to lie on one side of 1; the evaluation at h = 0, which sets
+    the bracket's right end, and the final one run to full precision.
     """
-    rows, cols, vals, n = system.rows, system.cols, system.vals, system.order
     scale = float(system.lengths.max())
-    lengths = system.lengths / scale
-    radius0, x, _ = spectral.perron_at(rows, cols, vals, n, 0.0, lengths)
+    system = replace(system, lengths=system.lengths / scale)
+    lengths = system.lengths
+    radius0, x, _ = spectral.perron_at(system, 0.0)
     evaluations = 1
     if not radius0 > 1.0:
         raise GraphError(
@@ -83,7 +86,7 @@ def solve_unit_radius(
     hi_probed = False
     margin = root_tol / 3.0
     # log rho is convex, so its tangent root at h = 0 is below the root.
-    y = spectral.left_perron_vector(x, 0.0, lengths, system.reversal, system.edge_orders)
+    y = spectral.left_perron_vector(system, x, 0.0)
     h = math.log(radius0) * float(y @ x) / float(y @ (lengths * x))
     while True:
         if evaluations >= config.ROOT_MAX_EVALUATIONS:
@@ -91,17 +94,17 @@ def solve_unit_radius(
                 f"entropy root not bracketed to {root_tol:.1e} in {evaluations} "
                 f"evaluations (bracket {lo!r}, {hi!r})"
             )
-        radius, x, _ = spectral.perron_at(
-            rows, cols, vals, n, h, lengths, start=x, target=1.0
-        )
+        radius, x, _ = spectral.perron_at(system, h, start=x, target=1.0)
         evaluations += 1
         if radius > 1.0:
             lo = h
         else:
             hi, hi_probed = h, True
-        if hi_probed and hi - lo < root_tol:
+        # No double lies strictly inside a bracket whose midpoint rounds onto
+        # an end: the bracket is as narrow as floats allow.
+        if hi_probed and (hi - lo < root_tol or not lo < 0.5 * (lo + hi) < hi):
             break
-        y = spectral.left_perron_vector(x, h, lengths, system.reversal, system.edge_orders)
+        y = spectral.left_perron_vector(system, x, h)
         step = math.log(radius) * float(y @ x) / float(y @ (lengths * x))
         if radius > 1.0 and step + margin < root_tol:
             # Converged: a probe just past the root closes the bracket.
@@ -111,7 +114,7 @@ def solve_unit_radius(
         else:
             h = 0.5 * (lo + hi)
     h = 0.5 * (lo + hi)
-    _, vec, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths, start=x)
+    _, vec, matrix = spectral.perron_at(system, h, start=x)
     evaluations += 1
     residual = float(abs(vec - matrix @ vec).max())
     if residual > residual_tol:

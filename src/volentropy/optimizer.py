@@ -5,7 +5,8 @@ volume entropy over volume-1 metrics is half the sum over vertices of
 (k+1) log k, where k+1 is the valency, and the minimizing length of an edge
 is log(k_origin * k_terminus) divided by that sum.  Valency-2 vertices are
 handled by series reduction; only chain totals are then canonical, and the
-pulled-back metric splits each chain total evenly.
+pulled-back metric splits each chain total evenly.  The Perron vector is
+pulled back exactly along each chain, with no numerical solve.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ConvergenceError, GraphError
 from .graph import (
     MetricGraph,
     base_id,
+    reversal_id,
     series_reduce,
     validate_entropy_hypotheses,
     verify_fixed_point,
@@ -72,21 +74,29 @@ def minimal_metric(g: MetricGraph) -> MinimalMetricResult:
         e.id: math.sqrt(g.k(e.terminus) / k_max) for e in g.edges
     }
     z = {x: 1.0 / math.sqrt(k_max * g.k(x)) for x in g.vertices}
-    result = MinimalMetricResult(h, lengths, perron, z)
-    check = verify_fixed_point(g.with_lengths(lengths), h, perron)
+    _check_fixed_point(g.with_lengths(lengths), h, perron, "closed-form")
+    return MinimalMetricResult(h, lengths, perron, z)
+
+
+def _check_fixed_point(g: MetricGraph, h: float, perron: dict[str, float], kind: str) -> None:
+    check = verify_fixed_point(g, h, perron)
     if check.max_residual > config.RESIDUAL_TOL:
         raise ConvergenceError(
-            f"closed-form minimizer violates the fixed-point system "
+            f"{kind} minimizer violates the fixed-point system "
             f"(residual {check.max_residual:.3e})"
         )
-    return result
 
 
 def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
     """Minimal metric for graphs that may contain valency-2 chains.
 
     Series-reduces, minimizes on the reduction, and pulls lengths back by
-    splitting each chain total evenly across its pieces.
+    splitting each chain total evenly across its pieces.  The Perron vector
+    is pulled back exactly: a chain piece's only continuation is the next
+    piece, so along an oriented chain e_1 ... e_k reduced to E,
+    x_{e_j} = exp(-h * sum_{i>j} l_{e_i}) * x_E.  The reduced z carries over
+    unchanged, since exp(-h l_{f_1}) x_{f_1} = exp(-h L_F) x_F at a branch
+    vertex.
     """
     report = validate_entropy_hypotheses(g)
     if not report.ok:
@@ -95,34 +105,26 @@ def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
     if all(len(chain) == 1 for chain in chains.values()):
         return minimal_metric(g)
     reduced_result = minimal_metric(reduced)
+    h = reduced_result.h_min
     lengths: dict[str, float] = {}
+    perron: dict[str, float] = {}
     for new_id, chain in chains.items():
         piece = reduced_result.lengths[new_id] / len(chain)
+        decay = math.exp(-h * piece)
         for oriented in chain:
             lengths[base_id(oriented)] = piece
-    from . import spectral
-
-    metered = g.with_lengths(lengths)
-    system = spectral.edge_system(metered)
-    h = reduced_result.h_min
-    radius, vec, _ = spectral.perron_at(
-        system.rows, system.cols, system.vals, system.order, h, system.lengths
-    )
-    if abs(radius - 1.0) > config.RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"pulled-back minimizer is off the unit spectral radius by {radius - 1.0:.3e}"
-        )
-    perron = {eid: float(v) for eid, v in zip(system.edge_ids, vec)}
-    z = {}
-    for x in g.vertices:
-        if g.valency(x) >= 3:
-            f = g.out_edges(x)[0]
-            z[x] = math.exp(-h * float(metered.length(f))) * perron[f]
+        # E+ runs along the chain's walk, E- along the reversed walk.
+        for sign, walk in (("+", chain), ("-", [reversal_id(e) for e in reversed(chain)])):
+            value = reduced_result.perron[new_id + sign]
+            for oriented in reversed(walk):
+                perron[oriented] = value
+                value *= decay
+    _check_fixed_point(g.with_lengths(lengths), h, perron, "pulled-back")
     return MinimalMetricResult(
         h_min=h,
         lengths=lengths,
         perron=perron,
-        z=z,
+        z=reduced_result.z,
         canonical="chain-totals-only",
         chains=dict(chains),
         chain_totals={cid: reduced_result.lengths[cid] for cid in chains},

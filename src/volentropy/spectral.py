@@ -312,16 +312,12 @@ def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
 
 
 def perron_at(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    n: int,
+    system: EdgeSystem,
     h: float,
-    lengths: np.ndarray,
     start: np.ndarray | None = None,
     target: float | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
-    """Perron root, max-normalized Perron vector and the assembled matrix at h.
+    """Perron root, max-normalized Perron vector and the system's matrix at h.
 
     Both paths start from ``start``, a positive vector such as the Perron
     vector at a nearby h, or from the all-ones vector.  A ``TripletMatrix``
@@ -340,7 +336,8 @@ def perron_at(
     happens when Perron entries fall below rounding of the largest.  The
     inverse iteration itself always runs to full precision.
     """
-    matrix = assemble(rows, cols, vals, n, h, lengths)
+    n = system.order
+    matrix = assemble(system.rows, system.cols, system.vals, n, h, system.lengths)
     x = np.ones(n) if start is None else start
     gap = math.inf
     while isinstance(matrix, np.ndarray):
@@ -359,21 +356,14 @@ def perron_at(
     return radius, x, matrix
 
 
-def left_perron_vector(
-    x: np.ndarray,
-    h: float,
-    lengths: np.ndarray,
-    reversal: np.ndarray,
-    edge_orders: np.ndarray,
-) -> np.ndarray:
-    """Left Perron vector of the h-weighted matrix from its right one.
+def left_perron_vector(system: EdgeSystem, x: np.ndarray, h: float) -> np.ndarray:
+    """Left Perron vector of the system's matrix at h from its right one.
 
     The reversal involution conjugates the matrix to its transpose up to
     diagonal scaling, so y_e = exp(-h l_e) x_rev(e) / |G_e| satisfies
-    y^T M = rho y^T whenever M x = rho x; ``edge_orders`` gives |G_e| per
-    oriented edge.
+    y^T M = rho y^T whenever M x = rho x.
     """
-    return np.exp(-h * lengths) * x[reversal] / edge_orders
+    return np.exp(-h * system.lengths) * x[system.reversal] / system.edge_orders
 
 
 def power_iteration(

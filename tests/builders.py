@@ -40,6 +40,26 @@ def subdivided_theta(which="e3"):
     return build_graph(graph_doc(["a", "b", "m"], edges))
 
 
+def subdivide(g, pieces):
+    """Cut each edge eid of g into pieces[eid] unit-length pieces.
+
+    Every other piece runs backwards, and piece ids count down along the
+    edge, so chain walks mix orientations and may start on a reversal.
+    """
+    vertices, records = list(g.vertices), []
+    for eid, u, v, length in g.unoriented:
+        k = pieces.get(eid, 1)
+        if k == 1:
+            records.append((eid, u, v, length))
+            continue
+        stops = [u, *(f"{eid}.{j}" for j in range(1, k)), v]
+        vertices += stops[1:-1]
+        for j in range(k):
+            ends = (stops[j + 1], stops[j]) if j % 2 else (stops[j], stops[j + 1])
+            records.append((f"{eid}p{k - j:02d}", *ends, 1))
+    return build_graph(graph_doc(vertices, records))
+
+
 def dumbbell(lengths=(1, 1, 1)):
     l1, br, l2 = lengths
     return build_graph(graph_doc(

@@ -90,14 +90,16 @@ def test_oracle(capsys, theta_file):
     assert float(doc["h_est"]) == pytest.approx(math.log(2), rel=0.02)
 
 
+SUBDIVIDED_THETA_DOC = graph_doc(
+    ["a", "b", "m"],
+    [("e1", "a", "b", 1), ("e2", "a", "b", 1),
+     ("e3a", "a", "m", "1/2"), ("e3b", "m", "b", "1/2")],
+)
+
+
 def test_reduce(capsys, tmp_path):
-    doc = graph_doc(
-        ["a", "b", "m"],
-        [("e1", "a", "b", 1), ("e2", "a", "b", 1),
-         ("e3a", "a", "m", "1/2"), ("e3b", "m", "b", "1/2")],
-    )
     path = tmp_path / "sub.graph"
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(yaml.safe_dump(SUBDIVIDED_THETA_DOC))
     code, out = run_json(capsys, ["reduce", str(path)])
     assert code == 0
     assert out["chains"]["e3a"] == ["e3a+", "e3b+"]
@@ -203,12 +205,19 @@ FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
         ["oracle", "theta.yaml", "--r-max", "40"],
         ["gog-minimize", "segment34.yaml"],
         ["minimize", "k4.yaml", "--samples", "0"],
+        # Valency-2 chains: the pulled-back minimizer needs no solve either.
+        ["minimize", SUBDIVIDED_THETA_DOC, "--samples", "0"],
     ],
 )
-def test_non_solving_subcommands_skip_numpy(capsys, argv):
+def test_non_solving_subcommands_skip_numpy(capsys, tmp_path, argv):
     # A fresh interpreter in which importing numpy fails must run the
     # subcommands that solve nothing, with the same output as in process.
-    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+    if isinstance(argv[1], dict):
+        path = tmp_path / "chain.graph"
+        path.write_text(yaml.safe_dump(argv[1]))
+    else:
+        path = FIXTURES / argv[1]
+    argv = [argv[0], str(path), *argv[2:]]
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"

@@ -82,18 +82,17 @@ def _plain_theta_123():
 
 def _gog_with_edge_orders():
     gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
-    rows, cols, vals, n, lengths, _, _ = _gog_system(gog)
+    s = _gog_system(gog)
 
     def radius_at(h):
-        matrix = spectral.assemble(rows, cols, vals, n, h, lengths)
+        matrix = spectral.assemble(s.rows, s.cols, s.vals, s.order, h, s.lengths)
         return spectral.power_iteration(matrix)[0]
 
     return gog_entropy(gog), radius_at
 
 
 def _gog_system(gog):
-    s = spectral.edge_system(gog.graph, (gog.vertex_order, gog.edge_order))
-    return s.rows, s.cols, s.vals, s.order, s.lengths, s.reversal, s.edge_orders
+    return spectral.edge_system(gog.graph, (gog.vertex_order, gog.edge_order))
 
 
 def test_bracket_is_sign_bracketing():
@@ -107,11 +106,9 @@ def test_bracket_is_sign_bracketing():
 
 @pytest.mark.parametrize("h", [0.0, 0.4, 1.3])
 def test_left_vector_from_reversal(h):
-    rows, cols, vals, n, lengths, reversal, orders = _gog_system(
-        gog_from_document(EDGE_ORDERS_GOG_DOC)
-    )
-    radius, x, matrix = spectral.perron_at(rows, cols, vals, n, h, lengths)
-    y = spectral.left_perron_vector(x, h, lengths, reversal, orders)
+    system = _gog_system(gog_from_document(EDGE_ORDERS_GOG_DOC))
+    radius, x, matrix = spectral.perron_at(system, h)
+    y = spectral.left_perron_vector(system, x, h)
     assert np.max(np.abs(matrix.T @ y - radius * y)) <= 1e-12
 
 
@@ -261,6 +258,22 @@ def test_length_ratios(g, monkeypatch):
     assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
     monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", 1)
     assert sol.h == pytest.approx(volume_entropy(g).h, rel=1e-12)
+
+
+def test_bracket_closes_to_adjacent_doubles():
+    # Scaled to a unit longest edge, the root is about 6.9e4, where adjacent
+    # doubles lie 1.5e-11 apart, more than the root tolerance: the bracket
+    # can only close to neighbouring doubles.
+    short = Fraction(1, 100000)
+    g = build_graph(graph_doc(
+        ["a", "b"],
+        [("e1", "a", "b", short), ("e2", "a", "b", short), ("e3", "a", "b", short),
+         ("loop", "a", "a", 1)],
+    ))
+    sol = volume_entropy(g)
+    assert sol.h == pytest.approx(LOG2 * 1e5, rel=1e-12)
+    assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
+    assert sol.iterations < 10
 
 
 def wide_ratio_metrics(count, seed):

@@ -2,6 +2,7 @@
 property."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from volentropy import (
     volume,
     volume_entropy,
 )
-from volentropy import config, spectral
+from volentropy import config, optimizer, spectral, verify_fixed_point
+from volentropy.graph import base_id
 from volentropy.errors import ConvergenceError, GraphError
 
-from builders import complete, complete_bipartite, cycle, dumbbell, subdivided_theta, theta
+from builders import (
+    complete, complete_bipartite, cycle, dumbbell, subdivide, subdivided_theta, theta,
+)
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -107,6 +111,39 @@ def test_minimize_with_reduction_subdivided_theta():
     assert solved.h == pytest.approx(result.h_min, rel=1e-9)
 
 
+CHAIN_GRAPHS = {
+    "theta-2": subdivided_theta,
+    "theta-3:5:7": lambda: subdivide(theta(), {"e1": 3, "e2": 5, "e3": 7}),
+    "dumbbell-4:3:2": lambda: subdivide(dumbbell(), {"l1": 4, "br": 3, "l2": 2}),
+    "k4-2:6:3": lambda: subdivide(complete(4), {"e1": 2, "e4": 6, "e6": 3}),
+    # 118 oriented edges: the reference solve takes the iterative path.
+    "k5-40:11": lambda: subdivide(complete(5), {"e2": 40, "e7": 11}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GRAPHS))
+def test_pulled_back_perron_against_numeric_solve(name):
+    # The exact pull-back against a Perron solve on the unreduced graph at
+    # the reduced h_min, the check it replaces.
+    g = CHAIN_GRAPHS[name]()
+    result = minimize_with_reduction(g)
+    metered = g.with_lengths(result.lengths)
+    system = spectral.edge_system(metered)
+    _, vec, _ = spectral.perron_at(system, result.h_min)
+    # Power iteration stops at a Rayleigh-quotient tolerance, the dense
+    # inverse iteration at a Collatz-Wielandt gap.
+    rel = 1e-12 if system.order < config.DENSE_EDGE_LIMIT else 1e-10
+    assert set(result.perron) == set(system.edge_ids)
+    for eid, v in zip(system.edge_ids, vec.tolist()):
+        assert result.perron[eid] == pytest.approx(v, rel=rel)
+    assert verify_fixed_point(metered, result.h_min, result.perron).max_residual <= 1e-12
+    assert set(result.z) == {x for x in g.vertices if g.valency(x) >= 3}
+    for x, z in result.z.items():
+        for f in g.out_edges(x):
+            weight = math.exp(-result.h_min * result.lengths[base_id(f)])
+            assert z == pytest.approx(weight * result.perron[f], rel=1e-12)
+
+
 def test_minimize_with_reduction_trivalent_passthrough():
     g = theta()
     result = minimize_with_reduction(g)
@@ -123,14 +160,18 @@ def test_minimal_metric_failed_check_raises(monkeypatch):
 
 
 def test_minimize_with_reduction_failed_check_raises(monkeypatch):
-    # No real graph fails the pulled-back radius check; force it.
-    perron_at = spectral.perron_at
+    # No real graph fails the pulled-back fixed-point check; force it by
+    # handing the pull-back a reduced Perron vector with one entry 1 % off.
+    # The reduced minimizer passes its own check before it is altered.
+    solve_reduced = optimizer.minimal_metric
 
-    def off_by_one_percent(*args):
-        radius, vec, matrix = perron_at(*args)
-        return 1.01 * radius, vec, matrix
+    def off_by_one_percent(g):
+        result = solve_reduced(g)
+        perron = dict(result.perron)
+        perron["e3a+"] *= 1.01
+        return replace(result, perron=perron)
 
-    monkeypatch.setattr(spectral, "perron_at", off_by_one_percent)
+    monkeypatch.setattr(optimizer, "minimal_metric", off_by_one_percent)
     with pytest.raises(ConvergenceError, match="pulled-back minimizer"):
         minimize_with_reduction(subdivided_theta())
 

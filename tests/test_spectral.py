@@ -189,9 +189,7 @@ def test_dense_perron_root_against_eigenvalues(name):
     system, solved = _system_and_root(name)
     assert system.order < config.DENSE_EDGE_LIMIT
     for h in (0.0, 0.4, 1.3, solved):
-        radius, x, matrix = spectral.perron_at(
-            system.rows, system.cols, system.vals, system.order, h, system.lengths
-        )
+        radius, x, matrix = spectral.perron_at(system, h)
         reference = float(np.max(np.linalg.eigvals(matrix).real))
         assert radius == pytest.approx(reference, rel=1e-13)
         assert np.min(x) > 0
