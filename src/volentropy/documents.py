@@ -31,6 +31,7 @@ from .graph import MetricGraph, oriented_id
 
 _GRAPH_KEYS = {"vertices", "edges", "groups"}
 _COVER_KEYS = {"source", "target", "vmap", "emap"}
+_EDGE_KEYS = {"u", "v", "length", "id"}
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -79,6 +80,13 @@ def load_document(path: str | Path) -> Mapping:
 
 
 def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:
+    # A mapping's keys view is compared as it is; anything else (a cover's
+    # source or target may be any value) goes through the set difference.
+    try:
+        if doc.keys() <= allowed:
+            return
+    except (AttributeError, TypeError):
+        pass
     unknown = set(doc) - allowed
     if unknown:
         raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
@@ -91,10 +99,9 @@ def _edge_records(doc: Mapping, require_lengths: bool):
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise DocumentError("edges: must be a list")
-    explicit = set()
-    for entry in edges:
-        if isinstance(entry, Mapping) and isinstance(entry.get("id"), str):
-            explicit.add(entry["id"])
+    # Explicit ids, which generated ones skip; gathered at the first edge
+    # without an id.
+    explicit = None
     records = []
     used_ids = set()
     missing_lengths = False
@@ -103,7 +110,7 @@ def _edge_records(doc: Mapping, require_lengths: bool):
         where = f"edges[{i}]"
         if not isinstance(entry, Mapping):
             raise DocumentError(f"{where}: must be a mapping")
-        _check_keys(entry, {"u", "v", "length", "id"}, where)
+        _check_keys(entry, _EDGE_KEYS, where)
         try:
             u, v = entry["u"], entry["v"]
         except KeyError as exc:
@@ -112,6 +119,11 @@ def _edge_records(doc: Mapping, require_lengths: bool):
             raise DocumentError(f"{where}: endpoints must be vertex names")
         eid = entry.get("id")
         if eid is None:
+            if explicit is None:
+                explicit = {
+                    e["id"] for e in edges
+                    if isinstance(e, Mapping) and isinstance(e.get("id"), str)
+                }
             counter += 1
             while f"e{counter}" in explicit or f"e{counter}" in used_ids:
                 counter += 1

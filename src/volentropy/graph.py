@@ -6,6 +6,17 @@ rationals end to end; floats are accepted only for solver-produced metrics
 (e.g. entropy-minimizing lengths, which involve logarithms).  Loops are
 allowed and contribute 2 to the valency of their vertex; parallel edges are
 allowed.
+
+A graph is an integer ``Topology`` plus one length per unoriented edge.  The
+topology numbers vertices in sorted name order and oriented edges in sorted
+id order, and holds per oriented edge the numbers of its origin, terminus,
+reversal and unoriented edge as plain tuples of ints.  ``from_unoriented``
+builds it in one pass over the records and one sort of the oriented ids,
+taking valency from counts and connectivity from union-find over the
+vertex numbers.  The views keyed by name (``edges``, ``edge_index``,
+``out_edges``, ``lengths``, ``unoriented``) are built from these on first
+use.  ``with_lengths`` shares the topology, and every view built from it,
+and checks only the new lengths.
 """
 
 from __future__ import annotations
@@ -53,16 +64,115 @@ class OrientedEdge:
 
 
 @dataclass(frozen=True)
-class MetricGraph:
-    """Immutable metric multigraph.
+class Topology:
+    """The integer structure of a graph, shared by every metric on it.
 
-    ``edges`` holds both orientations of every unoriented edge, sorted by id;
-    ``lengths`` is keyed by oriented edge id and equal on reversal pairs.
+    Vertices are numbered in sorted name order, oriented edges in sorted id
+    order and unoriented edges in the order of their forward orientations.
+    Per oriented edge, ``origin`` and ``terminus`` give vertex numbers,
+    ``reversal`` the number of the reversed edge and ``base`` the number of
+    its unoriented edge; ``valency`` counts the oriented edges leaving each
+    vertex.  The name-keyed views are built from these on first use.
     """
 
     vertices: tuple[str, ...]
-    edges: tuple[OrientedEdge, ...]
-    lengths: Mapping[str, Length]
+    edge_ids: tuple[str, ...]
+    origin: tuple[int, ...]
+    terminus: tuple[int, ...]
+    reversal: tuple[int, ...]
+    base: tuple[int, ...]
+    valency: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> tuple[OrientedEdge, ...]:
+        names, ids = self.vertices, self.edge_ids
+        return tuple(
+            OrientedEdge(eid, ids[r], names[o], names[t])
+            for eid, r, o, t in zip(ids, self.reversal, self.origin, self.terminus)
+        )
+
+    @cached_property
+    def edge_index(self) -> dict[str, int]:
+        return {eid: i for i, eid in enumerate(self.edge_ids)}
+
+    @cached_property
+    def out_index(self) -> tuple[tuple[int, ...], ...]:
+        """Numbers of the oriented edges leaving each vertex, ascending."""
+        out: list[list[int]] = [[] for _ in self.vertices]
+        for i, o in enumerate(self.origin):
+            out[o].append(i)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[str, ...]]:
+        ids = self.edge_ids
+        return {x: tuple(ids[i] for i in out) for x, out in zip(self.vertices, self.out_index)}
+
+    @cached_property
+    def forward(self) -> tuple[int, ...]:
+        """Number of the forward orientation of each unoriented edge."""
+        return tuple(i for i, eid in enumerate(self.edge_ids) if eid[-1] == FORWARD)
+
+    @cached_property
+    def unoriented_ids(self) -> tuple[str, ...]:
+        return tuple(self.edge_ids[i][:-1] for i in self.forward)
+
+
+def _checked_length(eid: str, length: Length) -> Length:
+    """The length as a Fraction or float, or GraphError if it is neither or
+    not positive."""
+    if isinstance(length, int):
+        length = Fraction(length)
+    if isinstance(length, Fraction):
+        # A Fraction keeps its sign in the numerator.
+        positive = length.numerator > 0
+    elif isinstance(length, float):
+        positive = length > 0
+    else:
+        raise GraphError(f"edge {eid!r}: unsupported length type {type(length).__name__}")
+    if not positive:
+        raise GraphError(f"edge {eid!r}: non-positive length {length}")
+    return length
+
+
+def _components(size: int, ends: list[int]) -> list[list[int]]:
+    """Vertex numbers of each connected component, by union-find over the
+    pairs ``ends[2k], ends[2k + 1]``; each component ascending, the
+    components in order of their smallest vertex."""
+    parent = list(range(size))
+    joins = 0
+    for u, v in zip(ends[::2], ends[1::2]):
+        # Find both roots, halving the paths on the way.
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joins += 1
+    if joins == size - 1:
+        return [list(range(size))]
+    members: dict[int, list[int]] = {}
+    for i in range(size):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        members.setdefault(root, []).append(i)
+    return list(members.values())
+
+
+@dataclass(frozen=True)
+class MetricGraph:
+    """Immutable metric multigraph: a topology and one length per unoriented
+    edge, ``base_lengths``, in the topology's unoriented order.
+
+    ``edges`` holds both orientations of every unoriented edge, sorted by id;
+    ``lengths`` is keyed by oriented edge id and equal on reversal pairs.
+    Both, like the other name-keyed views, are built on first use.
+    """
+
+    topology: Topology
+    base_lengths: tuple[Length, ...]
 
     @classmethod
     def from_unoriented(
@@ -74,17 +184,22 @@ class MetricGraph:
 
         Each record is ``(id, u, v, length)``.  Raises GraphError on
         non-positive lengths, dangling endpoints, isolated vertices, or a
-        disconnected underlying graph.
+        disconnected underlying graph.  One pass over the records numbers
+        the endpoints; one sort of the oriented ids numbers the edges.
         """
         vertex_tuple = tuple(sorted(vertices))
         if not vertex_tuple:
             raise GraphError("graph has no vertices")
-        if len(set(vertex_tuple)) != len(vertex_tuple):
+        number = {x: i for i, x in enumerate(vertex_tuple)}
+        if len(number) != len(vertex_tuple):
             raise GraphError("duplicate vertex names")
-        vertex_set = set(vertex_tuple)
 
-        edges: list[OrientedEdge] = []
-        lengths: dict[str, Length] = {}
+        # Oriented edge 2k is record k's forward orientation, 2k + 1 its
+        # reversal; ends[j] is the origin of oriented edge j, and ends[j ^ 1]
+        # its terminus.
+        oriented: list[str] = []
+        ends: list[int] = []
+        lengths: list[Length] = []
         seen_ids: set[str] = set()
         for eid, u, v, length in unoriented_edges:
             if not eid or eid[-1] in _SUFFIXES:
@@ -92,52 +207,72 @@ class MetricGraph:
             if eid in seen_ids:
                 raise GraphError(f"duplicate edge id {eid!r}")
             seen_ids.add(eid)
-            if u not in vertex_set:
+            if u not in number:
                 raise GraphError(f"edge {eid!r}: dangling endpoint {u!r}")
-            if v not in vertex_set:
+            if v not in number:
                 raise GraphError(f"edge {eid!r}: dangling endpoint {v!r}")
-            if isinstance(length, int):
-                length = Fraction(length)
-            if not isinstance(length, (Fraction, float)):
-                raise GraphError(f"edge {eid!r}: unsupported length type {type(length).__name__}")
-            if not length > 0:
-                raise GraphError(f"edge {eid!r}: non-positive length {length}")
-            fwd, rev = oriented_id(eid, True), oriented_id(eid, False)
-            edges.append(OrientedEdge(fwd, rev, u, v))
-            edges.append(OrientedEdge(rev, fwd, v, u))
-            lengths[fwd] = length
-            lengths[rev] = length
+            lengths.append(_checked_length(eid, length))
+            oriented += (eid + FORWARD, eid + REVERSE)
+            ends += (number[u], number[v])
 
-        graph = cls(vertex_tuple, tuple(sorted(edges, key=lambda e: e.id)), lengths)
-        for x in vertex_tuple:
-            if graph.valency(x) == 0:
-                raise GraphError(f"isolated vertex {x!r}")
-        components = graph.components()
+        valency = [0] * len(vertex_tuple)
+        for x in ends:
+            valency[x] += 1
+        if 0 in valency:
+            raise GraphError(f"isolated vertex {vertex_tuple[valency.index(0)]!r}")
+        components = _components(len(vertex_tuple), ends)
         if len(components) > 1:
-            raise GraphError(f"graph is disconnected; components: {components}")
-        return graph
+            witness = tuple(tuple(vertex_tuple[i] for i in c) for c in components)
+            raise GraphError(f"graph is disconnected; components: {witness}")
+
+        # Edge i of the topology is oriented edge order[i].
+        order = sorted(range(len(oriented)), key=oriented.__getitem__)
+        origin = list(map(ends.__getitem__, order))
+        position = [0] * len(order)
+        for i, j in enumerate(order):
+            position[j] = i
+        # Swapping each pair maps oriented edge j to the position of j ^ 1.
+        position[0::2], position[1::2] = position[1::2], position[0::2]
+        reversal = list(map(position.__getitem__, order))
+        # Unoriented edges are numbered in the order of their forward edges.
+        records = [j >> 1 for j in order if not j & 1]
+        rank = [0] * (2 * len(records))
+        for b, k in enumerate(records):
+            rank[2 * k] = rank[2 * k + 1] = b
+        topology = Topology(
+            vertices=vertex_tuple,
+            edge_ids=tuple(map(oriented.__getitem__, order)),
+            origin=tuple(origin),
+            terminus=tuple(map(origin.__getitem__, reversal)),
+            reversal=tuple(reversal),
+            base=tuple(map(rank.__getitem__, order)),
+            valency=tuple(valency),
+        )
+        return cls(topology, tuple(map(lengths.__getitem__, records)))
 
     # -- derived structure -------------------------------------------------
 
-    @cached_property
-    def _edge_by_id(self) -> dict[str, OrientedEdge]:
-        return {e.id: e for e in self.edges}
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.topology.vertices
 
-    @cached_property
-    def _out_edges(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {x: [] for x in self.vertices}
-        for e in self.edges:
-            out[e.origin].append(e.id)
-        return {x: tuple(ids) for x, ids in out.items()}
+    @property
+    def edges(self) -> tuple[OrientedEdge, ...]:
+        return self.topology.edges
 
-    @cached_property
+    @property
     def edge_index(self) -> dict[str, int]:
         """Position of each oriented edge id in the sorted edge tuple."""
-        return {e.id: i for i, e in enumerate(self.edges)}
+        return self.topology.edge_index
+
+    @cached_property
+    def lengths(self) -> dict[str, Length]:
+        t = self.topology
+        return dict(zip(t.edge_ids, map(self.base_lengths.__getitem__, t.base)))
 
     def edge(self, edge_id: str) -> OrientedEdge:
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self.edge_index[edge_id]]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
@@ -146,7 +281,7 @@ class MetricGraph:
 
     def out_edges(self, vertex: str) -> tuple[str, ...]:
         try:
-            return self._out_edges[vertex]
+            return self.topology.out_edges[vertex]
         except KeyError:
             raise GraphError(f"unknown vertex {vertex!r}") from None
 
@@ -160,59 +295,47 @@ class MetricGraph:
     @cached_property
     def unoriented(self) -> tuple[tuple[str, str, str, Length], ...]:
         """Unoriented edge records ``(id, u, v, length)`` sorted by id."""
-        records = []
-        for e in self.edges:
-            if e.id.endswith(FORWARD):
-                records.append((base_id(e.id), e.origin, e.terminus, self.lengths[e.id]))
-        return tuple(records)
+        t = self.topology
+        names = t.vertices
+        return tuple(
+            (eid, names[t.origin[i]], names[t.terminus[i]], length)
+            for eid, i, length in zip(t.unoriented_ids, t.forward, self.base_lengths)
+        )
 
-    @cached_property
+    @property
     def unoriented_ids(self) -> tuple[str, ...]:
-        return tuple(rec[0] for rec in self.unoriented)
+        return self.topology.unoriented_ids
 
     @property
     def l_max(self) -> Length:
-        return max(self.lengths.values())
+        return max(self.base_lengths)
 
     @property
     def l_min(self) -> Length:
-        return min(self.lengths.values())
+        return min(self.base_lengths)
 
     @property
     def is_rational(self) -> bool:
         """True when every length is an exact rational."""
-        return all(isinstance(v, Fraction) for v in self.lengths.values())
+        return all(isinstance(v, Fraction) for v in self.base_lengths)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the underlying graph, each sorted."""
-        return self._components
-
-    @cached_property
-    def _components(self) -> tuple[tuple[str, ...], ...]:
-        remaining = set(self.vertices)
-        components = []
-        while remaining:
-            start = min(remaining)
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for eid in self.out_edges(x):
-                    y = self.edge(eid).terminus
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            components.append(tuple(sorted(seen)))
-            remaining -= seen
-        return tuple(sorted(components))
+        """Connected components of the underlying graph, each sorted: the
+        whole vertex set, since the build rejects disconnected graphs."""
+        return (self.vertices,)
 
     def with_lengths(self, lengths: Mapping[str, Length]) -> "MetricGraph":
-        """Copy of the graph with new lengths, keyed by unoriented edge id."""
-        missing = set(self.unoriented_ids) - set(lengths)
+        """Copy of the graph with new lengths, keyed by unoriented edge id.
+
+        The copy shares this graph's topology; only the lengths are checked.
+        """
+        ids = self.topology.unoriented_ids
+        missing = [eid for eid in ids if eid not in lengths]
         if missing:
             raise GraphError(f"missing lengths for edges: {sorted(missing)}")
-        records = [(eid, u, v, lengths[eid]) for eid, u, v, _ in self.unoriented]
-        return MetricGraph.from_unoriented(self.vertices, records)
+        return MetricGraph(
+            self.topology, tuple(_checked_length(eid, lengths[eid]) for eid in ids)
+        )
 
 
 def build_graph(doc: Mapping) -> MetricGraph:
@@ -284,8 +407,9 @@ def validate_entropy_hypotheses(g: MetricGraph) -> HypothesesReport:
     """Check the three standing hypotheses, with witnesses."""
     components = g.components()
     connected = len(components) == 1
-    terminal = tuple(x for x in g.vertices if g.valency(x) == 1)
-    all_bivalent = all(g.valency(x) == 2 for x in g.vertices)
+    t = g.topology
+    terminal = tuple(x for x, d in zip(t.vertices, t.valency) if d == 1)
+    all_bivalent = all(d == 2 for d in t.valency)
     is_cycle = connected and all_bivalent
     return HypothesesReport(
         connected=connected,
@@ -308,25 +432,25 @@ def verify_fixed_point(
     g: MetricGraph, h: float, x: Mapping[str, float]
 ) -> ResidualReport:
     """Residuals of the fixed-point system at (h, x); pure check."""
-    if set(x) != {e.id for e in g.edges}:
+    t = g.topology
+    if set(x) != set(t.edge_ids):
         raise GraphError("vector must assign a value to every oriented edge")
     if any(not v > 0 for v in x.values()):
         raise GraphError("vector entries must be strictly positive")
+    values = [x[eid] for eid in t.edge_ids]
+    weights = [math.exp(-h * float(length)) for length in g.base_lengths]
+    weighted = [weights[b] * v for b, v in zip(t.base, values)]
     worst_edge = ""
     worst = -1.0
     total = 0.0
-    for e in g.edges:
-        rhs = sum(
-            math.exp(-h * float(g.length(f))) * x[f]
-            for f in g.out_edges(e.terminus)
-            if f != e.reversal
-        )
-        defect = abs(x[e.id] - rhs)
+    for eid, value, end, back in zip(t.edge_ids, values, t.terminus, t.reversal):
+        rhs = sum(weighted[f] for f in t.out_index[end] if f != back)
+        defect = abs(value - rhs)
         total += defect
         if defect > worst:
             worst = defect
-            worst_edge = e.id
-    return ResidualReport(worst, total / len(g.edges), worst_edge)
+            worst_edge = eid
+    return ResidualReport(worst, total / len(values), worst_edge)
 
 
 def series_reduce(g: MetricGraph) -> tuple[MetricGraph, dict[str, tuple[str, ...]]]:

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import config
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph, base_id
+from .graph import MetricGraph
 
 
 @dataclass(frozen=True)
 class EdgeSystem:
-    """What the solvers need from a graph, built in one pass over its edges.
+    """What the solvers need from a graph, read from its topology.
 
     Oriented edges are indexed in sorted id order.  ``rows``, ``cols`` and
     ``vals`` are the continuation multiplicities as row-major triplets;
@@ -122,29 +121,30 @@ def edge_system(
     """The edge system of g, or of a graph of groups on g.
 
     ``orders`` holds a graph of groups' vertex orders and edge orders, the
-    latter keyed by unoriented edge id; None means every order is 1.  One
-    pass over the edges gives origin, terminus and reversal indices; the
-    triplets come from index arrays, in row-major order with each row's
-    columns ascending.
+    latter keyed by unoriented edge id; None means every order is 1.  The
+    graph's topology gives origin, terminus, reversal and unoriented edge
+    numbers, read as one array each; per-edge values are formed once per
+    unoriented edge and spread to both orientations.  The triplets come
+    from these index arrays, in row-major order with each row's columns
+    ascending.
     """
-    vertex_index = {x: i for i, x in enumerate(g.vertices)}
-    index = g.edge_index
-    n = len(g.edges)
-    triples = chain.from_iterable(
-        (vertex_index[e.origin], vertex_index[e.terminus], index[e.reversal]) for e in g.edges
+    t = g.topology
+    origin, terminus, reversal, base = (
+        np.array(part, dtype=np.intp) for part in (t.origin, t.terminus, t.reversal, t.base)
     )
-    origin, terminus, reversal = np.fromiter(triples, np.intp, 3 * n).reshape(n, 3).T.copy()
+    n = len(t.edge_ids)
     if orders is None:
         edge_orders = np.ones(n, dtype=np.intp)
         lifts = edge_orders
     else:
         vertex_order, edge_order = orders
-        edge_orders = np.array([edge_order[base_id(e.id)] for e in g.edges], dtype=np.intp)
+        edge_orders = np.array([edge_order[eid] for eid in t.unoriented_ids], dtype=np.intp)[base]
         # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
-        lifts = np.array([vertex_order[x] for x in g.vertices], dtype=np.intp)[origin] // edge_orders
+        vertex_orders = np.array([vertex_order[x] for x in t.vertices], dtype=np.intp)
+        lifts = vertex_orders[origin] // edge_orders
     # Stable, so each vertex's out-edges keep ascending index order.
     out = origin.argsort(kind="stable")
-    degree = np.bincount(origin, minlength=len(g.vertices))
+    degree = np.array(t.valency, dtype=np.intp)
     count = degree[terminus]
     ends = count.cumsum()
     rows = np.arange(n, dtype=np.intp).repeat(count)
@@ -156,12 +156,17 @@ def edge_system(
     vals = lifts[cols] - (cols == reversal[rows])
     keep = vals > 0
     rows, cols = rows[keep], cols[keep]
+    # numerator / denominator is float(Fraction), correctly rounded.
+    lengths = np.array([
+        length if isinstance(length, float) else length.numerator / length.denominator
+        for length in g.base_lengths
+    ])
     return EdgeSystem(
-        edge_ids=tuple(e.id for e in g.edges),
+        edge_ids=t.edge_ids,
         rows=rows,
         cols=cols,
         vals=vals[keep].astype(float),
-        lengths=np.array([float(g.lengths[e.id]) for e in g.edges]),
+        lengths=lengths[base],
         reversal=reversal,
         edge_orders=edge_orders.astype(float),
         irreducible=_strongly_connected(rows, cols, reversal),

@@ -321,3 +321,20 @@ def test_structured_output_round_trips(capsys, theta_file):
     code2, doc2 = run_json(capsys, ["entropy", theta_file])
     assert code1 == code2 == 0
     assert doc1 == doc2
+
+
+@pytest.mark.parametrize("subcommand", ["entropy", "validate"])
+@pytest.mark.parametrize("edges, message", [
+    ([("e1", "a", "b", 1), ("e2", "a", "b", 1)], "isolated vertex 'c'"),
+    (
+        [("e1", "a", "b", 1), ("e2", "c", "c", 1)],
+        "graph is disconnected; components: (('a', 'b'), ('c',))",
+    ),
+])
+def test_invalid_graph_build_exit_status(capsys, tmp_path, subcommand, edges, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(yaml.safe_dump(graph_doc(["a", "b", "c"], edges)))
+    assert main([subcommand, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

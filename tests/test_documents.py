@@ -120,3 +120,60 @@ def test_cover_document_oriented_ids():
     cover = cover_from_document(doc)
     assert cover.edge_map["f1+"] == "e1-"
     assert cover.edge_map["f1-"] == "e1+"
+
+
+def document_error(doc):
+    with pytest.raises(DocumentError) as info:
+        graph_from_document(doc)
+    return str(info.value)
+
+
+def test_edge_record_error_texts():
+    ab = ["a", "b"]
+    assert document_error({"vertices": "a", "edges": []}) == "vertices: must be a list of names"
+    assert document_error({"vertices": ab, "edges": {}}) == "edges: must be a list"
+    assert document_error({"vertices": ab, "edges": [["a", "b"]]}) == "edges[0]: must be a mapping"
+    assert document_error({"vertices": ab, "edges": [
+        {"u": "a", "v": "b", "length": 1},
+        {"u": "a", "v": "b", "w": 1, "length": 1, "colour": "red"},
+    ]}) == "edges[1]: unknown fields ['colour', 'w']"
+    # Unknown fields are reported before missing ones.
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "weight": 1}]}) == (
+        "edges[0]: unknown fields ['weight']"
+    )
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "length": 1}]}) == (
+        "edges[0]: missing endpoint field 'v'"
+    )
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "v": 2, "length": 1}]}) == (
+        "edges[0]: endpoints must be vertex names"
+    )
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "v": "b", "id": 7}]}) == (
+        "edges[0].id: must be a string"
+    )
+    assert document_error({"vertices": ab, "edges": [
+        {"u": "a", "v": "b", "length": 1, "id": "e1"},
+        {"u": "a", "v": "b", "length": 1, "id": "e1"},
+    ]}) == "edges[1].id: duplicate edge id 'e1'"
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "v": "b"}]}) == (
+        "edges[0]: missing length"
+    )
+    assert document_error({"vertices": ab, "edges": [{"u": "a", "v": "b", "length": "x"}]}) == (
+        "edges[0].length: not a rational: 'x'"
+    )
+
+
+def test_generated_ids_skip_explicit_ones():
+    g = graph_from_document({
+        "vertices": ["a", "b"],
+        "edges": [
+            {"u": "a", "v": "b", "length": 1},
+            {"u": "a", "v": "b", "length": 2, "id": "e1"},
+            {"u": "a", "v": "b", "length": 3},
+            {"u": "a", "v": "b", "length": 4, "id": "e3"},
+            {"u": "b", "v": "a", "length": 5},
+        ],
+    })
+    assert g.unoriented == (
+        ("e1", "a", "b", 2), ("e2", "a", "b", 1), ("e3", "a", "b", 4),
+        ("e4", "a", "b", 3), ("e5", "b", "a", 5),
+    )

@@ -247,3 +247,106 @@ def test_series_reduce_preserves_volume(g):
     assert all(reduced.valency(x) >= 3 for x in reduced.vertices)
     total = sum(len(chain) for chain in chains.values())
     assert total == len(g.unoriented)
+
+
+# -- full error texts of the build -------------------------------------------
+
+ONE = Fraction(1)
+
+
+def build_error(vertices, records):
+    with pytest.raises(GraphError) as info:
+        MetricGraph.from_unoriented(vertices, records)
+    return str(info.value)
+
+
+def test_build_error_texts():
+    assert build_error([], []) == "graph has no vertices"
+    assert build_error(["a", "b", "a"], [("e1", "a", "b", ONE)]) == "duplicate vertex names"
+    for eid in ("", "e+", "e-"):
+        assert build_error(["a"], [(eid, "a", "a", ONE)]) == (
+            f"bad edge id {eid!r}: must not end with '+' or '-'"
+        )
+    assert build_error(["a", "b"], [("e1", "a", "b", ONE), ("e1", "b", "a", ONE)]) == (
+        "duplicate edge id 'e1'"
+    )
+    assert build_error(["a"], [("e1", "b", "a", ONE)]) == "edge 'e1': dangling endpoint 'b'"
+    assert build_error(["a"], [("e1", "a", "c", ONE)]) == "edge 'e1': dangling endpoint 'c'"
+    assert build_error(["a"], [("e1", "a", "a", "1")]) == "edge 'e1': unsupported length type str"
+    assert build_error(["a"], [("e1", "a", "a", None)]) == (
+        "edge 'e1': unsupported length type NoneType"
+    )
+    assert build_error(["a"], [("e1", "a", "a", 0)]) == "edge 'e1': non-positive length 0"
+    assert build_error(["a"], [("e1", "a", "a", Fraction(-1, 2))]) == (
+        "edge 'e1': non-positive length -1/2"
+    )
+    assert build_error(["a"], [("e1", "a", "a", -0.5)]) == "edge 'e1': non-positive length -0.5"
+    assert build_error(["a"], [("e1", "a", "a", float("nan"))]) == (
+        "edge 'e1': non-positive length nan"
+    )
+    assert build_error(["a", "b", "c"], [("e1", "a", "b", ONE)]) == "isolated vertex 'c'"
+
+
+def test_build_reports_the_first_failure():
+    # Records are checked in input order, each completely, before the
+    # valency and connectivity checks over the whole graph.
+    records = [("e2", "a", "a", 0), ("e1", "a", "z", ONE)]
+    assert build_error(["a"], records) == "edge 'e2': non-positive length 0"
+    assert build_error(["a"], records[::-1]) == "edge 'e1': dangling endpoint 'z'"
+    assert build_error(["a", "b", "c"], [("e", "a", "b", ONE), ("e+", "a", "b", ONE)]) == (
+        "bad edge id 'e+': must not end with '+' or '-'"
+    )
+    # An isolated vertex is also a component of its own: valency comes first.
+    assert build_error(["b", "a", "c"], [("e1", "a", "a", ONE)]) == "isolated vertex 'b'"
+
+
+def test_disconnected_error_gives_every_component():
+    records = [
+        ("e1", "z", "a", ONE), ("e2", "c", "b", ONE),
+        ("e3", "d", "d", ONE), ("e4", "b", "y", ONE),
+    ]
+    assert build_error(["z", "y", "d", "c", "b", "a"], records) == (
+        "graph is disconnected; components: (('a', 'z'), ('b', 'c', 'y'), ('d',))"
+    )
+
+
+def with_lengths_error(g, lengths):
+    with pytest.raises(GraphError) as info:
+        g.with_lengths(lengths)
+    return str(info.value)
+
+
+def test_with_lengths_error_texts():
+    g = theta()
+    assert with_lengths_error(g, {"e2": ONE}) == "missing lengths for edges: ['e1', 'e3']"
+    assert with_lengths_error(g, {"e1": ONE, "e2": ONE, "x": ONE}) == (
+        "missing lengths for edges: ['e3']"
+    )
+    # The first bad length in unoriented id order is reported.
+    assert with_lengths_error(g, {"e3": "2", "e2": 0, "e1": ONE}) == (
+        "edge 'e2': non-positive length 0"
+    )
+    assert with_lengths_error(g, {"e3": "2", "e2": ONE, "e1": ONE}) == (
+        "edge 'e3': unsupported length type str"
+    )
+    assert with_lengths_error(g, {"e3": ONE, "e2": ONE, "e1": -1.0}) == (
+        "edge 'e1': non-positive length -1.0"
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric_graphs(), st.data())
+def test_with_lengths_matches_a_fresh_build(g, data):
+    values = st.one_of(positive_fractions, st.integers(1, 9), st.floats(1e-3, 1e3))
+    new = {eid: data.draw(values) for eid in g.unoriented_ids}
+    copy = g.with_lengths(new)
+    fresh = MetricGraph.from_unoriented(
+        g.vertices, [(eid, u, v, new[eid]) for eid, u, v, _ in g.unoriented]
+    )
+    assert copy.edges == fresh.edges
+    assert copy.edge_index == fresh.edge_index
+    assert all(copy.out_edges(x) == fresh.out_edges(x) for x in g.vertices)
+    assert copy.unoriented == fresh.unoriented
+    assert copy.lengths == fresh.lengths
+    assert copy.components() == fresh.components()
+    assert copy.topology is g.topology

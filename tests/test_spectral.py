@@ -20,7 +20,7 @@ from volentropy import (
 from volentropy import config, spectral
 from volentropy.documents import gog_from_document
 from volentropy.errors import GraphError
-from volentropy.graph import MetricGraph, base_id
+from volentropy.graph import MetricGraph, base_id, reversal_id
 from volentropy.spectral import power_iteration, strongly_connected_components
 
 from builders import (
@@ -283,6 +283,27 @@ def assert_matches_loop(g, orders=None):
 @given(metric_graphs())
 def test_edge_system_matches_loop_reference(g):
     assert_matches_loop(g)
+
+
+def test_ids_sorting_below_the_suffixes():
+    # '!' sorts below '+' and ',' between '+' and '-', so the oriented ids
+    # of "a" do not sit next to each other.
+    g = MetricGraph.from_unoriented(
+        ["x", "y"],
+        [("a", "x", "y", 1), ("a,", "x", "x", Fraction(1, 2)), ("a!b", "y", "x", 3)],
+    )
+    assert [e.id for e in g.edges] == ["a!b+", "a!b-", "a+", "a,+", "a,-", "a-"]
+    assert g.unoriented_ids == ("a!b", "a", "a,")
+    index = g.edge_index
+    for e in g.edges:
+        back = g.edge(e.reversal)
+        assert back.reversal == e.id and e.reversal == reversal_id(e.id)
+        assert (back.origin, back.terminus) == (e.terminus, e.origin)
+        assert g.topology.reversal[index[e.id]] == index[e.reversal]
+    assert g.out_edges("y") == ("a!b+", "a-")
+    assert_matches_loop(g)
+    system = spectral.edge_system(g)
+    assert system.lengths.tolist() == [3.0, 3.0, 1.0, 0.5, 0.5, 1.0]
 
 
 @st.composite
