@@ -80,8 +80,9 @@ def load_document(path: str | Path) -> Mapping:
 
 
 def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:
-    # A mapping's keys view is compared as it is; anything else (a cover's
-    # source or target may be any value) goes through the set difference.
+    # A mapping's keys view is compared as it is; anything else (a library
+    # caller may pass any value as a document) goes through the set
+    # difference.
     try:
         if doc.keys() <= allowed:
             return
@@ -106,17 +107,19 @@ def _edge_records(doc: Mapping, require_lengths: bool):
     used_ids = set()
     missing_lengths = False
     counter = 0
+    # Locations such as "edges[3]" are formatted only where an error is
+    # raised: one per edge cost about a quarter of this loop on big documents.
     for i, entry in enumerate(edges):
-        where = f"edges[{i}]"
         if not isinstance(entry, Mapping):
-            raise DocumentError(f"{where}: must be a mapping")
-        _check_keys(entry, _EDGE_KEYS, where)
+            raise DocumentError(f"edges[{i}]: must be a mapping")
+        if not entry.keys() <= _EDGE_KEYS:
+            _check_keys(entry, _EDGE_KEYS, f"edges[{i}]")
         try:
             u, v = entry["u"], entry["v"]
         except KeyError as exc:
-            raise DocumentError(f"{where}: missing endpoint field {exc}") from None
+            raise DocumentError(f"edges[{i}]: missing endpoint field {exc}") from None
         if not isinstance(u, str) or not isinstance(v, str):
-            raise DocumentError(f"{where}: endpoints must be vertex names")
+            raise DocumentError(f"edges[{i}]: endpoints must be vertex names")
         eid = entry.get("id")
         if eid is None:
             if explicit is None:
@@ -129,14 +132,21 @@ def _edge_records(doc: Mapping, require_lengths: bool):
                 counter += 1
             eid = f"e{counter}"
         elif not isinstance(eid, str):
-            raise DocumentError(f"{where}.id: must be a string")
+            raise DocumentError(f"edges[{i}].id: must be a string")
         if eid in used_ids:
-            raise DocumentError(f"{where}.id: duplicate edge id {eid!r}")
+            raise DocumentError(f"edges[{i}].id: duplicate edge id {eid!r}")
         used_ids.add(eid)
         if "length" in entry:
-            length = parse_rational(entry["length"], f"{where}.length")
+            length = entry["length"]
+            # parse_rational returns a Fraction as it is, and starts each
+            # error text with the location it is given.
+            if type(length) is not Fraction:
+                try:
+                    length = parse_rational(length, "length")
+                except DocumentError as exc:
+                    raise DocumentError(f"edges[{i}].{exc}") from exc.__cause__
         elif require_lengths:
-            raise DocumentError(f"{where}: missing length")
+            raise DocumentError(f"edges[{i}]: missing length")
         else:
             missing_lengths = True
             length = Fraction(1)
@@ -205,6 +215,9 @@ def cover_from_document(doc: Mapping):
     for key in ("source", "target", "vmap", "emap"):
         if key not in doc:
             raise DocumentError(f"document: missing field {key!r}")
+    for key in ("source", "target"):
+        if not isinstance(doc[key], Mapping):
+            raise DocumentError(f"{key}: must be a mapping")
     source = gog_from_document(doc["source"])
     target = gog_from_document(doc["target"])
     vmap_doc, emap_doc = doc["vmap"], doc["emap"]

@@ -69,12 +69,15 @@ def solve_unit_radius(
     evaluation starts from the Perron vector of the one before.  The Newton
     evaluations pass target 1, so power iteration may stop once rho is
     certified to lie on one side of 1; the evaluation at h = 0, which sets
-    the bracket's right end, and the final one run to full precision.
+    the bracket's right end, and the final one run to full precision.  The
+    evaluation at h = 0 is solved once per topology and group orders and
+    reused (see ``_perron_at_zero``), and it is counted in ``iterations``
+    whether it was solved or reused.
     """
     scale = float(system.lengths.max())
     system = replace(system, lengths=system.lengths / scale)
     lengths = system.lengths
-    radius0, x, _ = spectral.perron_at(system, 0.0)
+    radius0, x = _perron_at_zero(system)
     evaluations = 1
     if not radius0 > 1.0:
         raise GraphError(
@@ -123,6 +126,24 @@ def solve_unit_radius(
         )
     vector = dict(zip(system.edge_ids, vec.tolist()))
     return EntropySolution(h / scale, vector, (lo / scale, hi / scale), residual, evaluations)
+
+
+def _perron_at_zero(system: spectral.EdgeSystem):
+    """Perron root and vector at h = 0, solved on the first call for the
+    system's ``at_zero`` slot and read from it after.
+
+    At h = 0 every weight exp(-h * length) is exactly 1, so the pair
+    depends on the triplets alone, and every system that ``edge_system``
+    builds on one topology and group orders shares the slot.  The pair is
+    kept per Perron path, dense or iterative, since the two round apart.
+    The vector is read-only, as the Newton evaluations start from it.
+    """
+    dense = system.order < config.DENSE_EDGE_LIMIT
+    if dense not in system.at_zero:
+        radius0, x, _ = spectral.perron_at(system, 0.0)
+        x.setflags(write=False)
+        system.at_zero[dense] = radius0, x
+    return system.at_zero[dense]
 
 
 def volume_entropy(

@@ -16,7 +16,8 @@ taking valency from counts and connectivity from union-find over the
 vertex numbers.  The views keyed by name (``edges``, ``edge_index``,
 ``out_edges``, ``lengths``, ``unoriented``) are built from these on first
 use.  ``with_lengths`` shares the topology, and every view built from it,
-and checks only the new lengths.
+and the solver state kept in its ``solver_memo``, and checks only the new
+lengths.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class Topology:
     ``reversal`` the number of the reversed edge and ``base`` the number of
     its unoriented edge; ``valency`` counts the oriented edges leaving each
     vertex.  The name-keyed views are built from these on first use.
+    ``solver_memo`` keeps what the entropy solver needs of the topology
+    and not of the lengths, so every metric on it shares that work.
     """
 
     vertices: tuple[str, ...]
@@ -116,6 +119,13 @@ class Topology:
     @cached_property
     def unoriented_ids(self) -> tuple[str, ...]:
         return tuple(self.edge_ids[i][:-1] for i in self.forward)
+
+    @cached_property
+    def solver_memo(self) -> dict:
+        """The length-independent solver state of this topology, filled by
+        ``spectral.edge_system`` and keyed by group orders (None for a
+        plain graph)."""
+        return {}
 
 
 def _checked_length(eid: str, length: Length) -> Length:

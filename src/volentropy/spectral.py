@@ -11,14 +11,14 @@ radius drives the entropy solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import config
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph
+from .graph import MetricGraph, Topology
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,12 @@ class EdgeSystem:
     length, the index of its reversal and its group order |G_e|;
     ``irreducible`` says whether the triplets' support is strongly
     connected, found by reachability from edge 0 and its reversal.
+
+    Only ``lengths`` depends on the metric.  ``edge_system`` shares the
+    other arrays, read-only, among every system built on one topology and
+    group orders, and with them ``at_zero``: a slot where the entropy
+    solver keeps the Perron root and vector at h = 0, which depend on the
+    triplets alone.  A system built by hand gets an empty slot of its own.
     """
 
     edge_ids: tuple[str, ...]
@@ -41,6 +47,7 @@ class EdgeSystem:
     reversal: np.ndarray
     edge_orders: np.ndarray
     irreducible: bool
+    at_zero: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -121,14 +128,69 @@ def edge_system(
     """The edge system of g, or of a graph of groups on g.
 
     ``orders`` holds a graph of groups' vertex orders and edge orders, the
-    latter keyed by unoriented edge id; None means every order is 1.  The
-    graph's topology gives origin, terminus, reversal and unoriented edge
-    numbers, read as one array each; per-edge values are formed once per
-    unoriented edge and spread to both orientations.  The triplets come
-    from these index arrays, in row-major order with each row's columns
-    ascending.
+    latter keyed by unoriented edge id; None means every order is 1.
+    Everything but the lengths depends only on the topology and the orders,
+    so it is built once and kept in the topology's ``solver_memo``, keyed
+    by the orders listed in vertex and unoriented edge order (None for a
+    plain graph); every graph that ``with_lengths`` makes from g shares it.
+    A call then only converts each unoriented length once and spreads it
+    to both orientations.
     """
     t = g.topology
+    if orders is None:
+        key = None
+    else:
+        vertex_order, edge_order = orders
+        key = (
+            tuple(vertex_order[x] for x in t.vertices),
+            tuple(edge_order[eid] for eid in t.unoriented_ids),
+        )
+    structure = t.solver_memo.get(key)
+    if structure is None:
+        structure = t.solver_memo[key] = _structure(t, key)
+    # numerator / denominator is float(Fraction), correctly rounded.
+    lengths = np.array([
+        length if isinstance(length, float) else length.numerator / length.denominator
+        for length in g.base_lengths
+    ])
+    return EdgeSystem(
+        edge_ids=t.edge_ids,
+        rows=structure.rows,
+        cols=structure.cols,
+        vals=structure.vals,
+        lengths=lengths[structure.base],
+        reversal=structure.reversal,
+        edge_orders=structure.edge_orders,
+        irreducible=structure.irreducible,
+        at_zero=structure.at_zero,
+    )
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """The length-independent part of an edge system, kept per topology and
+    group orders.  Its arrays are read-only and it holds no reference to
+    the topology; ``base`` numbers each oriented edge's unoriented edge."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    reversal: np.ndarray
+    edge_orders: np.ndarray
+    base: np.ndarray
+    irreducible: bool
+    at_zero: dict
+
+
+def _structure(
+    t: Topology, orders: tuple[tuple[int, ...], tuple[int, ...]] | None
+) -> _Structure:
+    """Triplets, reversal, edge orders and irreducibility of a topology
+    with group orders given per vertex and per unoriented edge.
+
+    The triplets come from the topology's index arrays, in row-major order
+    with each row's columns ascending.
+    """
     origin, terminus, reversal, base = (
         np.array(part, dtype=np.intp) for part in (t.origin, t.terminus, t.reversal, t.base)
     )
@@ -137,10 +199,9 @@ def edge_system(
         edge_orders = np.ones(n, dtype=np.intp)
         lifts = edge_orders
     else:
-        vertex_order, edge_order = orders
-        edge_orders = np.array([edge_order[eid] for eid in t.unoriented_ids], dtype=np.intp)[base]
+        vertex_orders, unoriented_orders = (np.array(part, dtype=np.intp) for part in orders)
+        edge_orders = unoriented_orders[base]
         # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
-        vertex_orders = np.array([vertex_order[x] for x in t.vertices], dtype=np.intp)
         lifts = vertex_orders[origin] // edge_orders
     # Stable, so each vertex's out-edges keep ascending index order.
     out = origin.argsort(kind="stable")
@@ -155,21 +216,14 @@ def edge_system(
     # One lift of the reversal is the backtrack.
     vals = lifts[cols] - (cols == reversal[rows])
     keep = vals > 0
-    rows, cols = rows[keep], cols[keep]
-    # numerator / denominator is float(Fraction), correctly rounded.
-    lengths = np.array([
-        length if isinstance(length, float) else length.numerator / length.denominator
-        for length in g.base_lengths
-    ])
-    return EdgeSystem(
-        edge_ids=t.edge_ids,
-        rows=rows,
-        cols=cols,
-        vals=vals[keep].astype(float),
-        lengths=lengths[base],
-        reversal=reversal,
-        edge_orders=edge_orders.astype(float),
+    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(float)
+    edge_orders = edge_orders.astype(float)
+    for part in (rows, cols, vals, reversal, edge_orders, base):
+        part.setflags(write=False)
+    return _Structure(
+        rows, cols, vals, reversal, edge_orders, base,
         irreducible=_strongly_connected(rows, cols, reversal),
+        at_zero={},
     )
 
 

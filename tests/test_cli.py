@@ -152,6 +152,16 @@ def test_cover_check_invalid(capsys, tmp_path):
     assert main(["cover-check", str(path)]) == 1
 
 
+@pytest.mark.parametrize("part, value", [("source", ""), ("source", [1]), ("target", "")])
+def test_cover_part_not_a_mapping_is_usage_error(capsys, tmp_path, part, value):
+    doc = double_cover_doc()
+    doc[part] = value
+    path = tmp_path / "cover.graph"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["cover-check", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {part}: must be a mapping\n"
+
+
 def test_dump_matrix(capsys, theta_file):
     code, doc = run_json(capsys, ["entropy", theta_file, "--dump-matrix"])
     assert code == 0

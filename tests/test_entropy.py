@@ -218,6 +218,28 @@ def test_unit_radius_needs_radius_above_one_at_zero():
         solve_unit_radius(system)
 
 
+def test_hand_built_system_solves():
+    # A rose of two unit loops: each of the 4 oriented edges is followed by
+    # the 3 that are not its reversal, so rho(h) = 3 exp(-h) and h = log 3.
+    # A system built outside edge_system has an h = 0 slot of its own.
+    reversal = np.array([1, 0, 3, 2])
+    rows, cols = np.nonzero(np.arange(4) != reversal[:, None])
+    system = spectral.EdgeSystem(
+        edge_ids=("a+", "a-", "b+", "b-"), rows=rows, cols=cols, vals=np.ones(12),
+        lengths=np.ones(4), reversal=reversal, edge_orders=np.ones(4), irreducible=True,
+    )
+    sol = solve_unit_radius(system)
+    assert sol.h == pytest.approx(math.log(3), rel=1e-12)
+    assert len(system.at_zero) == 1
+    again = solve_unit_radius(system)
+    assert (again.h, again.vector, again.iterations) == (sol.h, sol.vector, sol.iterations)
+    other = spectral.EdgeSystem(
+        edge_ids=system.edge_ids, rows=rows, cols=cols, vals=np.ones(12),
+        lengths=np.ones(4), reversal=reversal, edge_orders=np.ones(4), irreducible=True,
+    )
+    assert other.at_zero == {}
+
+
 def test_residual_contract():
     for g in (theta(), dumbbell(), complete(4), theta((1, 1, 2))):
         sol = volume_entropy(g)

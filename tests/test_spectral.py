@@ -1,6 +1,7 @@
 """Edge adjacency, irreducibility, and the Perron machinery."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from volentropy import (
 )
 from volentropy import config, spectral
 from volentropy.documents import gog_from_document
-from volentropy.errors import GraphError
+from volentropy.errors import ConvergenceError, GraphError
+from volentropy.gog import GraphOfGroups
 from volentropy.graph import MetricGraph, base_id, reversal_id
 from volentropy.spectral import power_iteration, strongly_connected_components
 
@@ -33,7 +35,7 @@ from builders import (
     single_loop,
     theta,
 )
-from test_graph import metric_graphs
+from test_graph import metric_graphs, positive_fractions
 
 
 def test_theta_adjacency():
@@ -353,3 +355,78 @@ def test_reachability_flag_matches_tarjan(drawn):
     for i, j in zip(system.rows.tolist(), system.cols.tolist()):
         successors[i].append(j)
     assert system.irreducible == (len(strongly_connected_components(successors)) == 1)
+
+
+# -- the per-topology memo ----------------------------------------------------
+
+
+def _solved(g, orders):
+    """Everything a solve reports, as text, or the error it raised."""
+    try:
+        if orders is None:
+            sol = volume_entropy(g)
+        else:
+            sol = gog_entropy(GraphOfGroups.create(g, *orders))
+    except (GraphError, ConvergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((sol.h, sol.vector, sol.bracket, sol.residual, sol.iterations))
+
+
+@st.composite
+def metric_sequences(draw):
+    """A graph, with group orders or None, and one to four metrics on it."""
+    g, orders = draw(st.one_of(metric_graphs().map(lambda g: (g, None)), graphs_of_groups()))
+    ids = g.unoriented_ids
+    metric = st.lists(positive_fractions, min_size=len(ids), max_size=len(ids))
+    metrics = draw(st.lists(metric.map(lambda ls: dict(zip(ids, ls))), min_size=1, max_size=4))
+    return g, orders, metrics
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric_sequences())
+def test_shared_topology_solves_as_fresh_graphs(drawn):
+    # Solves through with_lengths share one memo entry, and with it the
+    # Perron pair at h = 0 of whichever metric came first; a graph built
+    # afresh from the same records has a memo of its own.
+    g, orders, metrics = drawn
+    for lengths in metrics:
+        fresh = MetricGraph.from_unoriented(
+            g.vertices, [(eid, u, v, lengths[eid]) for eid, u, v, _ in g.unoriented]
+        )
+        assert _solved(g.with_lengths(lengths), orders) == _solved(fresh, orders)
+    assert len(g.topology.solver_memo) <= 1
+
+
+def test_memo_keeps_group_orders_apart():
+    gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+    g = gog.graph
+    orders = (gog.vertex_order, gog.edge_order)
+    other = (gog.vertex_order, dict(gog.edge_order, e1=6))
+    first = spectral.edge_system(g, orders)
+    second = spectral.edge_system(g.with_lengths(dict.fromkeys(g.unoriented_ids, 1)), other)
+    plain = spectral.edge_system(g)
+    assert len(g.topology.solver_memo) == 3
+    assert first.vals.tolist() != second.vals.tolist() != plain.vals.tolist()
+    assert spectral.edge_system(g, orders).vals is first.vals
+    # Each entry gives what a fresh graph gives.
+    for o in (orders, other, None):
+        fresh = gog_from_document(EDGE_ORDERS_GOG_DOC).graph
+        assert _solved(g, o) == _solved(fresh, o)
+    assert len(first.at_zero) == len(second.at_zero) == len(plain.at_zero) == 1
+    assert first.at_zero is not second.at_zero
+
+
+def test_memo_arrays_are_read_only():
+    g = theta((1, 2, 3))
+    volume_entropy(g)
+    system = spectral.edge_system(g)
+    ((_, x0),) = system.at_zero.values()
+    parts = (system.rows, system.cols, system.vals, system.reversal, system.edge_orders, x0)
+    for part in parts:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[0]
+    # The memo holds no reference back to the topology: dropping the graph
+    # frees it without a garbage-collection pass.
+    topology = weakref.ref(g.topology)
+    del g
+    assert topology() is None
