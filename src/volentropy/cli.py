@@ -224,7 +224,7 @@ def _gog_minimize(weighted, ns):
 
 
 def _cover_check(cover, ns):
-    report = gog.check_covering(cover)
+    report = cover.report
     result = {
         "valid": report.ok,
         "sheets": report.sheets,

@@ -19,16 +19,18 @@ RESIDUAL_TOL = 1e-9
 # from the first step): relative change between successive Rayleigh-quotient
 # estimates, then the max-norm residual threshold, and the iteration cap.
 # The two tolerances govern full-precision evaluations only: an intermediate
-# Newton evaluation stops as soon as its Collatz-Wielandt bounds settle the
-# side of 1.  POWER_RQ_TOL also bounds the dense inverse iteration's
-# Collatz-Wielandt gap, max (Mx)/x - min (Mx)/x, relative to its upper end.
+# Newton evaluation, on either path, stops as soon as its Collatz-Wielandt
+# bounds settle the side of 1.  POWER_RQ_TOL also bounds the full-precision
+# dense inverse iteration's Collatz-Wielandt gap, max (Mx)/x - min (Mx)/x,
+# relative to its upper end.
 POWER_RQ_TOL = 1e-14
 POWER_RESIDUAL_TOL = 1e-12
 POWER_MAX_ITER = 10**6
 
-# Dense matrices (shifted inverse iteration, np.linalg.solve) below this
-# oriented edge count; from it up, a triplet operator with a numpy bincount
-# product (power iteration).
+# Dense matrices (shifted inverse iteration, one np.linalg.solve per step,
+# which an intermediate Newton evaluation ends once its bounds settle the
+# side of 1) below this oriented edge count; from it up, a triplet operator
+# with a numpy bincount product (power iteration).
 DENSE_EDGE_LIMIT = 64
 
 # Path-count oracle: default radius in integer grid units, number of fit

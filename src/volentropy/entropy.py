@@ -8,11 +8,11 @@ log rho, started at its tangent root from h = 0 (a lower bound, at least
 log rho(0) / l_max), therefore rises monotonically to the root.  Its
 derivative needs the left Perron vector, which the reversal involution
 gives from the right one without a second Perron solve.  Each step aims a
-third of the root tolerance short of the root, so no iterate lands within
-rounding of it; a safeguard bisects back inside the bracket if rounding
-pushes an iterate past the root anyway, and a final probe the same
-distance past the root closes a sign bracket narrower than the root
-tolerance.
+third of the root tolerance, or two ulps of h where those are wider,
+short of the root, so no iterate lands within rounding of it; a safeguard
+bisects back inside the bracket if rounding pushes an iterate past the
+root anyway, and a final probe the same distance past the root closes a
+sign bracket narrower than the root tolerance, or one of adjacent doubles.
 """
 
 from __future__ import annotations
@@ -65,9 +65,14 @@ def solve_unit_radius(
     the bracket width times the longest length at any length scale.  Where
     the scaled root is so large (from 2**13 up, for the default
     ``root_tol``) that adjacent doubles near it lie more than ``root_tol``
-    apart, the bracket closes to adjacent doubles instead.  Each radius
-    evaluation starts from the Perron vector of the one before.  The Newton
-    evaluations pass target 1, so power iteration may stop once rho is
+    apart, the bracket closes to adjacent doubles instead.  Each Newton
+    step aims a third of ``root_tol`` short of the root, or two ulps of h
+    where those are wider (from a scaled root of 2**10 up, for the default
+    ``root_tol``); a step from below whose aim does not get past the
+    bracket's left end counts as converged, so the next probe lands as far
+    past the root instead of bisecting the bracket.  Each radius evaluation
+    starts from the Perron vector of the one before.  The Newton
+    evaluations pass target 1, so either Perron path may stop once rho is
     certified to lie on one side of 1; the evaluation at h = 0, which sets
     the bracket's right end, and the final one run to full precision.  The
     evaluation at h = 0 is solved once per topology and group orders and
@@ -87,7 +92,6 @@ def solve_unit_radius(
     # rho(0) exp(-h l_max) <= rho(h) <= rho(0) exp(-h l_min) brackets the root.
     lo, hi = 0.0, math.log(radius0) / float(lengths.min())
     hi_probed = False
-    margin = root_tol / 3.0
     # log rho is convex, so its tangent root at h = 0 is below the root.
     y = spectral.left_perron_vector(system, x, 0.0)
     h = math.log(radius0) * float(y @ x) / float(y @ (lengths * x))
@@ -109,8 +113,12 @@ def solve_unit_radius(
             break
         y = spectral.left_perron_vector(system, x, h)
         step = math.log(radius) * float(y @ x) / float(y @ (lengths * x))
-        if radius > 1.0 and step + margin < root_tol:
-            # Converged: a probe just past the root closes the bracket.
+        # Two ulps at least, so that an aim past or short of the root does
+        # not round onto it.
+        margin = max(root_tol / 3.0, 2.0 * math.ulp(h))
+        if radius > 1.0 and (step + margin < root_tol or not h + step - margin > lo):
+            # Converged, or the aim short of the root does not get past lo:
+            # a probe just past the root closes the bracket.
             h = h + step + margin
         elif lo < h + step - margin < hi:
             h = h + step - margin

@@ -13,8 +13,9 @@ tree; with trivial groups it is exactly the plain graph's edge system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from . import config
@@ -159,7 +160,12 @@ def gog_minimal_metric(gog: GraphOfGroups) -> GogMinimalMetric:
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """Order-level morphism of graphs of groups with fiber data."""
+    """Order-level morphism of graphs of groups with fiber data.
+
+    A cover is frozen, so what ``covering_inequality`` needs of it at every
+    metric is worked out on first use and kept: ``report`` and the private
+    ``_metrizable_source`` and ``_bound``.
+    """
 
     source: GraphOfGroups
     target: GraphOfGroups
@@ -195,6 +201,23 @@ class CoveringMap:
             dict(edge_map),
             int(sheets) if sheets.denominator == 1 else 0,
         )
+
+    @cached_property
+    def report(self) -> CoveringReport:
+        """``check_covering`` of this cover."""
+        return check_covering(self)
+
+    @cached_property
+    def _metrizable_source(self) -> GraphOfGroups:
+        """The source with its group orders checked for a new metric."""
+        s = self.source
+        return GraphOfGroups.create(s.graph, s.vertex_order, s.edge_order)
+
+    @cached_property
+    def _bound(self) -> float:
+        """Sheets times the target's minimal entropy, the right side of the
+        covering inequality."""
+        return self.report.sheets * gog_minimal_entropy(self.target)
 
 
 @dataclass(frozen=True)
@@ -338,23 +361,24 @@ def covering_inequality(
     equality_gap_tol: float = config.EQUALITY_GAP_TOL,
 ) -> CoveringInequalityReport:
     """Evaluate entropy times volume on the source against sheets times the
-    minimal entropy of the target."""
-    report = check_covering(cover)
+    minimal entropy of the target.
+
+    The checks and the right side depend on the cover alone and run once
+    per cover; each call checks the new lengths and solves.
+    """
+    report = cover.report
     if not report.ok:
         violation = report.first_violation
         raise GraphError(f"invalid covering: {violation.name}: {violation.witness}")
     source = cover.source
     if lengths is not None:
-        source = GraphOfGroups.create(
-            source.graph.with_lengths(dict(lengths)),
-            source.vertex_order,
-            source.edge_order,
-        )
+        # The lengths are checked before the orders.
+        graph = source.graph.with_lengths(dict(lengths))
+        source = replace(cover._metrizable_source, graph=graph)
     elif not source.has_lengths:
         raise GraphError("source has no lengths; provide a metric to compare")
-    _require_degrees(cover.target)
+    rhs = cover._bound
     lhs = gog_entropy(source).h * float(gog_volume(source))
-    rhs = report.sheets * gog_minimal_entropy(cover.target)
     gap = lhs - rhs
     proportional = None
     ratio = None

@@ -387,13 +387,17 @@ def perron_at(
     Collatz-Wielandt bounds: for positive x, the ratios r = (Mx) / x satisfy
     min r <= rho <= max r (Seneta, *Non-negative Matrices and Markov
     Chains*, 1.1).  The iteration stops once the gap between them is within
-    ``POWER_RQ_TOL`` of the upper bound, and returns their midpoint.
-    Otherwise it solves ((max r + gap) I - M) y = x: the shift is above rho,
-    so the system is a nonsingular M-matrix with a positive inverse.  If
-    rounding still yields a nonpositive y, or the gap stops shrinking, the
-    current vector goes to ``power_iteration``, with ``target``; that
-    happens when Perron entries fall below rounding of the largest.  The
-    inverse iteration itself always runs to full precision.
+    ``POWER_RQ_TOL`` of the upper bound, and returns their midpoint.  With
+    ``target`` set it also stops once the gap is within a tenth of the
+    distance d from the bounds to ``target``, within d squared and within
+    1e-3 of the upper bound: rho is then certified to lie on one side of
+    ``target``, and the midpoint is close enough for a quadratic Newton
+    step.  Otherwise it solves ((max r + gap) I - M) y = x: the shift is
+    above rho, so the system is a nonsingular M-matrix with a positive
+    inverse.  If rounding still yields a nonpositive y, or the gap stops
+    shrinking, the current vector goes to ``power_iteration``, with
+    ``target``; that happens when Perron entries fall below rounding of
+    the largest.
     """
     n = system.order
     matrix = assemble(system.rows, system.cols, system.vals, n, h, system.lengths)
@@ -402,11 +406,19 @@ def perron_at(
     while isinstance(matrix, np.ndarray):
         ratios = (matrix @ x) / x
         lower, upper = float(ratios.min()), float(ratios.max())
-        if upper - lower <= config.POWER_RQ_TOL * upper:
+        width = upper - lower
+        if width <= config.POWER_RQ_TOL * upper:
             return 0.5 * (lower + upper), x, matrix
-        if not upper - lower < gap:
+        if target is not None:
+            # Within a tenth of the distance to target the side is certain;
+            # within its square the midpoint keeps Newton's steps quadratic;
+            # and 1e-3 relative caps the error far from target.
+            distance = max(lower - target, target - upper)
+            if width <= min(0.1 * distance, distance * distance, 1e-3 * upper):
+                return 0.5 * (lower + upper), x, matrix
+        if not width < gap:
             break
-        gap = upper - lower
+        gap = width
         y = np.linalg.solve((upper + gap) * np.eye(n) - matrix, x)
         if not float(y.min()) > 0.0:
             break

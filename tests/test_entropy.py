@@ -35,7 +35,7 @@ from builders import (
     random_cubic,
     theta,
 )
-from volentropy import build_graph
+from volentropy import MetricGraph, build_graph
 
 LOG2 = math.log(2)
 
@@ -182,13 +182,14 @@ def _power_iteration_calls(monkeypatch, full_precision=False):
 )
 def test_newton_evaluations_stop_early(g, monkeypatch):
     # Every one of these has at least 64 oriented edges, so each evaluation
-    # runs power iteration; the Newton evaluations pass target 1.
+    # runs power iteration; the Newton evaluations pass target 1.  Each
+    # solve gets a topology of its own, so both count the h = 0 evaluation.
     assert len(g.edges) >= config.DENSE_EDGE_LIMIT
     full_calls = _power_iteration_calls(monkeypatch, full_precision=True)
-    full = volume_entropy(g)
+    full = volume_entropy(_fresh(g))
     monkeypatch.undo()
     calls = _power_iteration_calls(monkeypatch)
-    sol = volume_entropy(g)
+    sol = volume_entropy(_fresh(g))
     assert sol.h == pytest.approx(full.h, rel=1e-12)
     early = 0
     for matrix, target, (radius, x, _, _) in calls:
@@ -204,6 +205,58 @@ def test_newton_evaluations_stop_early(g, monkeypatch):
     steps = sum(result[2] for _, _, result in calls)
     full_steps = sum(result[2] for _, _, result in full_calls)
     assert steps <= 0.7 * full_steps
+
+
+def _fresh(g):
+    """g on a topology of its own, whose h = 0 Perron pair is not yet solved."""
+    return MetricGraph.from_unoriented(g.vertices, g.unoriented)
+
+
+@pytest.mark.parametrize(
+    "g", [complete_bipartite(3, 4), complete(4), theta(), dumbbell()],
+    ids=["k34", "k4", "theta", "dumbbell"],
+)
+def test_dense_newton_evaluations_stop_early(g, monkeypatch):
+    # Under 64 oriented edges each evaluation runs the dense inverse
+    # iteration.  With target 1 an intermediate evaluation returns once its
+    # Collatz-Wielandt bounds settle the side of 1, so it makes fewer LU
+    # solves, and the Newton steps stay as good: no more evaluations.
+    assert len(g.edges) < config.DENSE_EDGE_LIMIT
+    metrics = list(sample_normalized_metrics(g, 50, seed=0))
+    perron_at, solve = spectral.perron_at, np.linalg.solve
+    counts = {}
+    for full_precision in (True, False):
+        base = _fresh(g)
+        calls, lu = [], []
+
+        def recorded(system, h, start=None, target=None):
+            if full_precision:
+                target = None
+            result = perron_at(system, h, start, target)
+            calls.append((target, result))
+            return result
+
+        def counted(*args):
+            lu.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "perron_at", recorded)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        evaluations = sum(volume_entropy(base.with_lengths(m)).iterations for m in metrics)
+        counts[full_precision] = evaluations, len(lu), calls
+    full_evaluations, full_lu, _ = counts[True]
+    evaluations, lu, calls = counts[False]
+    assert lu < full_lu
+    assert evaluations <= full_evaluations
+    early = 0
+    for target, (radius, x, matrix) in calls:
+        ratios = (matrix @ x) / x
+        lower, upper = float(ratios.min()), float(ratios.max())
+        if target is not None and upper - lower > config.POWER_RQ_TOL * upper:
+            early += 1
+            assert radius == 0.5 * (lower + upper)
+            assert lower > target or upper < target
+    assert early
 
 
 def test_unit_radius_needs_radius_above_one_at_zero():
@@ -296,6 +349,27 @@ def test_bracket_closes_to_adjacent_doubles():
     assert sol.h == pytest.approx(LOG2 * 1e5, rel=1e-12)
     assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
     assert sol.iterations < 10
+
+
+@pytest.mark.parametrize("loop", [1, Fraction(3, 2), Fraction(7, 10)])
+@pytest.mark.parametrize(
+    "d", [10000, 31415, 54321, 77777, 99999, 100000, 100001, 100003, 123457, 1000000]
+)
+def test_stiff_theta_endgame(d, loop):
+    # Theta edges of 1/d set the root at d log 2: 4.9e3 to 1.0e6 scaled to a
+    # longest edge of 1, where root_tol / 3 is below the spacing of doubles.
+    # The Newton endgame must aim whole ulps short of and past the root, not
+    # bisect down from the initial bracket.
+    short = Fraction(1, d)
+    g = build_graph(graph_doc(
+        ["a", "b"],
+        [("e1", "a", "b", short), ("e2", "a", "b", short), ("e3", "a", "b", short),
+         ("loop", "a", "a", loop)],
+    ))
+    sol = volume_entropy(g)
+    assert sol.iterations <= 12
+    assert sol.h == pytest.approx(LOG2 * d, rel=1e-12)
+    assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
 
 
 def wide_ratio_metrics(count, seed):

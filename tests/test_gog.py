@@ -201,6 +201,35 @@ def test_double_cover_perturbed_strict():
     assert not ineq.equality
 
 
+def test_cover_work_runs_once_per_cover(monkeypatch):
+    # The covering checks and the target's minimal entropy depend on the
+    # cover alone: the first call works them out, later calls only check
+    # the new lengths and solve, and an invalid cover raises every time.
+    from volentropy import gog
+
+    calls = []
+    for name in ("check_covering", "gog_minimal_entropy"):
+        def counted(*args, _original=getattr(gog, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(gog, name, counted)
+    lengths = {f"f{i}": Fraction(1, 6) for i in range(1, 7)}
+    lengths["f1"], lengths["f2"] = Fraction(1, 5), Fraction(2, 15)
+    cover = cover_from_document(double_cover_doc())
+    first = covering_inequality(cover, lengths)
+    assert covering_inequality(cover, lengths) == first
+    assert calls == ["check_covering", "gog_minimal_entropy"]
+    with pytest.raises(GraphError, match="length"):
+        covering_inequality(cover, {**lengths, "f1": 0})
+    doc = double_cover_doc()
+    doc["emap"] = {"f1": "e1", "f2": "e1", "f3": "e1", "f4": "e1", "f5": "e3", "f6": "e3"}
+    invalid = cover_from_document(doc)
+    for _ in range(2):
+        with pytest.raises(GraphError, match="^invalid covering: local-multiplicity"):
+            covering_inequality(invalid, lengths)
+
+
 def test_double_cover_stalled_metric():
     # A +-30 % perturbation of the cover's metric at which power iteration
     # on the periodic edge matrix stalls for 500000 steps near the root.
