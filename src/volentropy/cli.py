@@ -117,12 +117,11 @@ def _validate(g, ns):
     report = validate_entropy_hypotheses(g)
     result = {
         "ok": report.ok,
-        "connected": report.connected,
+        # Building the graph rejected disconnected documents.
+        "connected": True,
         "no_terminal_vertex": report.no_terminal_vertex,
         "not_single_cycle": report.not_single_cycle,
     }
-    if not report.connected:
-        result["components"] = [list(c) for c in report.components]
     if report.terminal_vertices:
         result["terminal_vertices"] = list(report.terminal_vertices)
     if report.cycle_witness:
@@ -207,9 +206,8 @@ def _gog_entropy(weighted, ns):
     if ns.dump_matrix:
         from . import spectral
 
-        orders = (weighted.vertex_order, weighted.edge_order)
         result["matrix"] = _matrix_dump(
-            spectral.edge_system(weighted.graph, orders), solution.h
+            spectral.edge_system(weighted.graph, weighted.orders), solution.h
         )
     return result, True
 

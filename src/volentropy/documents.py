@@ -248,8 +248,8 @@ def cover_from_document(doc: Mapping):
     return CoveringMap.create(source, target, vertex_map, edge_map)
 
 
-def graph_to_document(g: MetricGraph, gog=None) -> dict:
-    """Serialize a graph (optionally with group orders) to a document dict."""
+def graph_to_document(g: MetricGraph) -> dict:
+    """Serialize a graph to a document dict."""
     edges = []
     for eid, u, v, length in g.unoriented:
         entry: dict[str, Any] = {"u": u, "v": v, "id": eid}
@@ -258,13 +258,7 @@ def graph_to_document(g: MetricGraph, gog=None) -> dict:
         else:
             entry["length"] = float(length)
         edges.append(entry)
-    doc: dict[str, Any] = {"vertices": list(g.vertices), "edges": edges}
-    if gog is not None:
-        doc["groups"] = {
-            "vertex_orders": dict(sorted(gog.vertex_order.items())),
-            "edge_orders": dict(sorted(gog.edge_order.items())),
-        }
-    return doc
+    return {"vertices": list(g.vertices), "edges": edges}
 
 
 def canonical_text(doc: Mapping) -> str:

@@ -3,16 +3,20 @@ n-sheeted coverings.
 
 Only group orders enter any quantity in scope, so a graph of groups is the
 underlying graph plus positive integer orders on vertices and unoriented
-edges, with each edge order dividing both endpoint orders.  The degree of a
-vertex is the valency of its lifts in the universal covering tree.  Entropy
-is computed from the edge system that ``spectral.edge_system`` builds for
-these orders, whose matrix counts non-backtracking continuations in that
-tree; with trivial groups it is exactly the plain graph's edge system.
+edges, with each edge order dividing both endpoint orders.  A plain graph
+is the case where every order is 1, and the code here passes the orders to
+the plain routines rather than repeating them.  The degree of a vertex is
+the valency of its lifts in the universal covering tree, from
+``optimizer.tree_degrees``; the minimal entropy and metric are
+``optimizer.closed_form`` with the orders.  Entropy is computed from the
+edge system that ``spectral.edge_system`` builds for these orders, whose
+matrix counts non-backtracking continuations in that tree; with trivial
+groups it is exactly the plain graph's edge system.
 """
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +25,7 @@ from typing import TYPE_CHECKING, Mapping
 from . import config
 from .errors import GraphError
 from .graph import Length, MetricGraph, base_id
+from .optimizer import Orders, branching_degrees, closed_form, tree_degrees
 
 if TYPE_CHECKING:
     from .entropy import EntropySolution
@@ -32,7 +37,8 @@ class GraphOfGroups:
 
     ``edge_order`` is keyed by unoriented edge id.  When ``has_lengths`` is
     false the graph carries placeholder unit lengths and only unmetrized
-    operations apply.
+    operations apply.  ``orders`` pairs the two mappings in the form
+    ``spectral.edge_system`` and ``optimizer.closed_form`` take.
     """
 
     graph: MetricGraph
@@ -50,11 +56,11 @@ class GraphOfGroups:
     ) -> "GraphOfGroups":
         for x in graph.vertices:
             order = vertex_order.get(x)
-            if not isinstance(order, int) or order < 1:
+            if not isinstance(order, int) or isinstance(order, bool) or order < 1:
                 raise GraphError(f"vertex {x!r}: missing or invalid group order")
         for eid, u, v, _ in graph.unoriented:
             order = edge_order.get(eid)
-            if not isinstance(order, int) or order < 1:
+            if not isinstance(order, int) or isinstance(order, bool) or order < 1:
                 raise GraphError(f"edge {eid!r}: missing or invalid group order")
             for endpoint in (u, v):
                 if vertex_order[endpoint] % order:
@@ -68,6 +74,15 @@ class GraphOfGroups:
         return self.edge_order[base_id(oriented_id)]
 
     @property
+    def orders(self) -> Orders:
+        return self.vertex_order, self.edge_order
+
+    @cached_property
+    def degrees(self) -> dict[str, int]:
+        """Tree degree of each vertex."""
+        return dict(zip(self.graph.vertices, tree_degrees(self.graph, self.orders)))
+
+    @property
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.vertex_order.values()) and all(
             v == 1 for v in self.edge_order.values()
@@ -76,11 +91,10 @@ class GraphOfGroups:
 
 def degree(gog: GraphOfGroups, x: str) -> int:
     """Valency of any lift of x in the covering tree."""
-    g = gog.graph
-    total = sum(
-        Fraction(gog.vertex_order[x], gog.order_of_edge(eid)) for eid in g.out_edges(x)
-    )
-    return int(total)
+    try:
+        return gog.degrees[x]
+    except KeyError:
+        raise GraphError(f"unknown vertex {x!r}") from None
 
 
 def gog_volume(gog: GraphOfGroups) -> Length:
@@ -92,14 +106,6 @@ def gog_volume(gog: GraphOfGroups) -> Length:
         g.length(e.id) / gog.order_of_edge(e.id) for e in g.edges
     )
     return total / 2
-
-
-def _require_degrees(gog: GraphOfGroups, bound: int = 3) -> dict[str, int]:
-    degrees = {x: degree(gog, x) for x in gog.graph.vertices}
-    bad = [x for x, d in degrees.items() if d < bound]
-    if bad:
-        raise GraphError(f"vertices of tree degree < {bound}: {bad}")
-    return degrees
 
 
 def gog_entropy(
@@ -118,11 +124,8 @@ def gog_entropy(
 
     if not gog.has_lengths:
         raise GraphError("graph of groups has no lengths")
-    _require_degrees(gog)
-    g = gog.graph
-    if len(g.components()) > 1:
-        raise GraphError("graph of groups must be connected")
-    system = spectral.edge_system(g, (gog.vertex_order, gog.edge_order))
+    branching_degrees(gog.graph, gog.orders)
+    system = spectral.edge_system(gog.graph, gog.orders)
     if not system.irreducible:
         raise GraphError("multiplicity matrix is reducible")
     return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
@@ -130,11 +133,7 @@ def gog_entropy(
 
 def gog_minimal_entropy(gog: GraphOfGroups) -> float:
     """Closed-form minimum of the entropy over volume-1 length distances."""
-    degrees = _require_degrees(gog)
-    return 0.5 * sum(
-        degrees[x] * math.log(degrees[x] - 1) / gog.vertex_order[x]
-        for x in gog.graph.vertices
-    )
+    return closed_form(gog.graph, gog.orders)[0]
 
 
 @dataclass(frozen=True)
@@ -146,24 +145,17 @@ class GogMinimalMetric:
 def gog_minimal_metric(gog: GraphOfGroups) -> GogMinimalMetric:
     """Minimizing lengths (proportional to log of the product of branching
     numbers at the endpoints) normalized to weighted volume 1."""
-    degrees = _require_degrees(gog)
-    g = gog.graph
-    raw = {
-        eid: math.log((degrees[u] - 1) * (degrees[v] - 1))
-        for eid, u, v, _ in g.unoriented
-    }
-    weighted = sum(raw[eid] / gog.edge_order[eid] for eid in raw)
-    scale = 1.0 / weighted
-    lengths = {eid: scale * value for eid, value in raw.items()}
-    return GogMinimalMetric(gog_minimal_entropy(gog), lengths)
+    return GogMinimalMetric(*closed_form(gog.graph, gog.orders))
 
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """Order-level morphism of graphs of groups with fiber data.
+    """Order-level morphism of graphs of groups.
 
-    A cover is frozen, so what ``covering_inequality`` needs of it at every
-    metric is worked out on first use and kept: ``report`` and the private
+    ``create`` checks only that the maps land in the target; the covering
+    invariants and the sheet count are in ``report``.  A cover is frozen,
+    so what ``covering_inequality`` needs of it at every metric is worked
+    out on first use and kept: ``report`` and the private
     ``_metrizable_source`` and ``_bound``.
     """
 
@@ -171,7 +163,6 @@ class CoveringMap:
     target: GraphOfGroups
     vertex_map: Mapping[str, str]
     edge_map: Mapping[str, str]
-    sheets: int
 
     @classmethod
     def create(
@@ -188,19 +179,7 @@ class CoveringMap:
             image = edge_map.get(e.id)
             if image not in target.graph.edge_index:
                 raise GraphError(f"edge map must send {e.id!r} to a target edge")
-        x0 = target.graph.vertices[0]
-        sheets = sum(
-            Fraction(target.vertex_order[x0], source.vertex_order[y])
-            for y in source.graph.vertices
-            if vertex_map[y] == x0
-        )
-        return cls(
-            source,
-            target,
-            dict(vertex_map),
-            dict(edge_map),
-            int(sheets) if sheets.denominator == 1 else 0,
-        )
+        return cls(source, target, dict(vertex_map), dict(edge_map))
 
     @cached_property
     def report(self) -> CoveringReport:
@@ -245,65 +224,57 @@ class CoveringReport:
 
 
 def check_covering(cover: CoveringMap) -> CoveringReport:
-    """Verify the covering invariants and the constancy of the sheet count."""
+    """Verify the covering invariants and the constancy of the sheet count.
+
+    One pass over the source edges finds the first edge whose image breaks
+    reversal or origins, and sums the lifts |G_y| / |G_f| per source
+    vertex y and target edge, and the fiber |G_e| / |G_f| per target edge
+    e.  One pass over the source vertices sums the fibers |G_x| / |G_y|.
+    Each target edge e leaving the image x of y must lift |G_x| / |G_e|
+    times at y; the vertex fibers must share one positive integer, the
+    sheet count, and the edge fibers must equal it (or, without one, the
+    first edge's fiber).
+    """
     src, tgt = cover.source, cover.target
     phi_v, phi_e = cover.vertex_map, cover.edge_map
-    checks: list[CheckResult] = []
 
-    bad = next(
-        (
-            f.id
-            for f in src.graph.edges
-            if phi_e[f.reversal] != tgt.graph.edge(phi_e[f.id]).reversal
-        ),
-        None,
-    )
-    checks.append(
-        CheckResult("reversal", bad is None, bad and f"edge {bad} breaks reversal")
-    )
-
-    bad = next(
-        (
-            f.id
-            for f in src.graph.edges
-            if phi_v[f.origin] != tgt.graph.edge(phi_e[f.id]).origin
-        ),
-        None,
-    )
-    checks.append(
-        CheckResult("endpoints", bad is None, bad and f"edge {bad} breaks origins")
-    )
+    broken_reversal = broken_origin = None
+    lifts: dict[tuple[str, str], int] = defaultdict(int)
+    edge_fibers: dict[str, Fraction] = defaultdict(Fraction)
+    for f in src.graph.edges:
+        image = tgt.graph.edge(phi_e[f.id])
+        if broken_reversal is None and phi_e[f.reversal] != image.reversal:
+            broken_reversal = f.id
+        if broken_origin is None and phi_v[f.origin] != image.origin:
+            broken_origin = f.id
+        order = src.order_of_edge(f.id)
+        lifts[f.origin, image.id] += src.vertex_order[f.origin] // order
+        edge_fibers[image.id] += Fraction(tgt.order_of_edge(image.id), order)
+    checks = [
+        CheckResult(name, bad is None, bad and f"edge {bad} breaks {broken}")
+        for name, bad, broken in (
+            ("reversal", broken_reversal, "reversal"),
+            ("endpoints", broken_origin, "origins"),
+        )
+    ]
 
     witness = None
     for y in src.graph.vertices:
         x = phi_v[y]
         for e in tgt.graph.out_edges(x):
-            lifted = sum(
-                Fraction(src.vertex_order[y], src.order_of_edge(f))
-                for f in src.graph.out_edges(y)
-                if phi_e[f] == e
-            )
-            expected = Fraction(tgt.vertex_order[x], tgt.order_of_edge(e))
+            lifted = lifts.get((y, e), 0)
+            expected = tgt.vertex_order[x] // tgt.order_of_edge(e)
             if lifted != expected:
-                witness = (
-                    f"vertex {y}: edges over {e} contribute {lifted}, expected {expected}"
-                )
+                witness = f"vertex {y}: edges over {e} contribute {lifted}, expected {expected}"
                 break
         if witness:
             break
     checks.append(CheckResult("local-multiplicity", witness is None, witness))
 
-    vertex_sums = {
-        x: sum(
-            (
-                Fraction(tgt.vertex_order[x], src.vertex_order[y])
-                for y in src.graph.vertices
-                if phi_v[y] == x
-            ),
-            Fraction(0),
-        )
-        for x in tgt.graph.vertices
-    }
+    vertex_sums = dict.fromkeys(tgt.graph.vertices, Fraction(0))
+    for y in src.graph.vertices:
+        x = phi_v[y]
+        vertex_sums[x] += Fraction(tgt.vertex_order[x], src.vertex_order[y])
     values = set(vertex_sums.values())
     sheets = None
     if len(values) == 1:
@@ -315,22 +286,16 @@ def check_covering(cover: CoveringMap) -> CoveringReport:
         witness = f"vertex fiber sums are not a constant integer: {dict(sorted((k, str(v)) for k, v in vertex_sums.items()))}"
     checks.append(CheckResult("vertex-fibers", sheets is not None, witness))
 
-    witness = None
-    expected = Fraction(sheets) if sheets is not None else None
-    for e in tgt.graph.edges:
-        fiber = sum(
-            (
-                Fraction(tgt.order_of_edge(e.id), src.order_of_edge(f.id))
-                for f in src.graph.edges
-                if phi_e[f.id] == e.id
-            ),
-            Fraction(0),
-        )
-        if expected is None:
-            expected = fiber
-        if fiber != expected:
-            witness = f"edge {e.id}: fiber sum {fiber}, expected {expected}"
-            break
+    fibers = [(e, edge_fibers[e]) for e in tgt.graph.topology.edge_ids]
+    expected = Fraction(sheets) if sheets is not None else fibers[0][1]
+    witness = next(
+        (
+            f"edge {e}: fiber sum {fiber}, expected {expected}"
+            for e, fiber in fibers
+            if fiber != expected
+        ),
+        None,
+    )
     checks.append(CheckResult("edge-fibers", witness is None, witness))
 
     return CoveringReport(tuple(checks), sheets)
@@ -357,14 +322,13 @@ class CoveringInequalityReport:
 def covering_inequality(
     cover: CoveringMap,
     lengths: Mapping[str, Length] | None = None,
-    *,
-    equality_gap_tol: float = config.EQUALITY_GAP_TOL,
 ) -> CoveringInequalityReport:
     """Evaluate entropy times volume on the source against sheets times the
     minimal entropy of the target.
 
     The checks and the right side depend on the cover alone and run once
-    per cover; each call checks the new lengths and solves.
+    per cover; each call checks the new lengths and solves.  A gap below
+    ``config.EQUALITY_GAP_TOL`` is tested for proportionality.
     """
     report = cover.report
     if not report.ok:
@@ -382,7 +346,7 @@ def covering_inequality(
     gap = lhs - rhs
     proportional = None
     ratio = None
-    if gap < equality_gap_tol:
+    if gap < config.EQUALITY_GAP_TOL:
         minimal = gog_minimal_metric(cover.target)
         ratios = [
             float(source.graph.length(f.id)) / minimal.lengths[base_id(cover.edge_map[f.id])]
@@ -397,7 +361,7 @@ def covering_inequality(
         rhs=rhs,
         gap=gap,
         sheets=report.sheets,
-        equality=bool(gap < equality_gap_tol and proportional),
+        equality=bool(gap < config.EQUALITY_GAP_TOL and proportional),
         proportional=proportional,
         ratio=ratio,
     )

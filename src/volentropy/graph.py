@@ -329,11 +329,6 @@ class MetricGraph:
         """True when every length is an exact rational."""
         return all(isinstance(v, Fraction) for v in self.base_lengths)
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the underlying graph, each sorted: the
-        whole vertex set, since the build rejects disconnected graphs."""
-        return (self.vertices,)
-
     def with_lengths(self, lengths: Mapping[str, Length]) -> "MetricGraph":
         """Copy of the graph with new lengths, keyed by unoriented edge id.
 
@@ -387,12 +382,12 @@ def scale_metric(g: MetricGraph, alpha: Length) -> MetricGraph:
 class HypothesesReport:
     """Result of checking the standing hypotheses for entropy operations.
 
-    All three must hold for the entropy solver: (a) no terminal vertex,
-    (b) the graph is not a single cycle, (c) the graph is connected.
+    Both must hold for the entropy solver: (a) no terminal vertex, (b) the
+    graph is not a single cycle.  The third standing hypothesis, that the
+    graph is connected, holds for every graph: ``from_unoriented`` rejects
+    disconnected ones.
     """
 
-    connected: bool
-    components: tuple[tuple[str, ...], ...]
     no_terminal_vertex: bool
     terminal_vertices: tuple[str, ...]
     not_single_cycle: bool
@@ -400,7 +395,7 @@ class HypothesesReport:
 
     @property
     def ok(self) -> bool:
-        return self.connected and self.no_terminal_vertex and self.not_single_cycle
+        return self.no_terminal_vertex and self.not_single_cycle
 
     def failures(self) -> tuple[str, ...]:
         out = []
@@ -408,22 +403,16 @@ class HypothesesReport:
             out.append(f"terminal vertices: {list(self.terminal_vertices)}")
         if not self.not_single_cycle:
             out.append(self.cycle_witness or "graph is a cycle")
-        if not self.connected:
-            out.append(f"disconnected; components: {self.components}")
         return tuple(out)
 
 
 def validate_entropy_hypotheses(g: MetricGraph) -> HypothesesReport:
-    """Check the three standing hypotheses, with witnesses."""
-    components = g.components()
-    connected = len(components) == 1
+    """Check the standing hypotheses that a built graph can fail, with
+    witnesses."""
     t = g.topology
     terminal = tuple(x for x, d in zip(t.vertices, t.valency) if d == 1)
-    all_bivalent = all(d == 2 for d in t.valency)
-    is_cycle = connected and all_bivalent
+    is_cycle = all(d == 2 for d in t.valency)
     return HypothesesReport(
-        connected=connected,
-        components=components,
         no_terminal_vertex=not terminal,
         terminal_vertices=terminal,
         not_single_cycle=not is_cycle,

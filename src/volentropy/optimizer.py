@@ -3,7 +3,11 @@
 For a graph whose valencies are all at least three, the minimum of the
 volume entropy over volume-1 metrics is half the sum over vertices of
 (k+1) log k, where k+1 is the valency, and the minimizing length of an edge
-is log(k_origin * k_terminus) divided by that sum.  Valency-2 vertices are
+is log(k_origin * k_terminus) divided by that sum.  A graph of groups has
+the same closed form with the tree degree d_x, the valency of the lifts of
+x in its covering tree, in place of k+1 and each vertex's term divided by
+|G_x|; ``closed_form`` computes both, taking group orders or None for a
+plain graph as ``spectral.edge_system`` does.  Valency-2 vertices are
 handled by series reduction; only chain totals are then canonical, and the
 pulled-back metric splits each chain total evenly.  The Perron vector is
 pulled back exactly along each chain, with no numerical solve.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import config
 from .errors import ConvergenceError, GraphError
@@ -49,26 +53,67 @@ class MinimalMetricResult:
     chain_totals: dict[str, float] | None = None
 
 
-def _require_min_valency(g: MetricGraph, bound: int = 3) -> None:
-    bad = [x for x in g.vertices if g.valency(x) < bound]
+# A graph of groups' vertex orders and edge orders, the latter keyed by
+# unoriented edge id; None stands for a plain graph, every order 1.
+Orders = tuple[Mapping[str, int], Mapping[str, int]] | None
+
+
+def tree_degrees(g: MetricGraph, orders: Orders = None) -> tuple[int, ...]:
+    """Valency of the lifts of each vertex, in vertex order, in the covering
+    tree: a lift of x has |G_x| // |G_f| lifts of each edge f leaving x,
+    exact because every edge order divides its endpoints' orders."""
+    t = g.topology
+    if orders is None:
+        return t.valency
+    vertex_order, edge_order = orders
+    at_vertex = [vertex_order[x] for x in t.vertices]
+    at_edge = [edge_order[eid] for eid in t.unoriented_ids]
+    degrees = [0] * len(at_vertex)
+    for x, b in zip(t.origin, t.base):
+        degrees[x] += at_vertex[x] // at_edge[b]
+    return tuple(degrees)
+
+
+def branching_degrees(g: MetricGraph, orders: Orders = None) -> tuple[int, ...]:
+    """``tree_degrees``, or GraphError naming the vertices below three."""
+    degrees = tree_degrees(g, orders)
+    bad = [x for x, d in zip(g.vertices, degrees) if d < 3]
     if bad:
-        raise GraphError(f"vertices of valency < {bound}: {bad}")
+        kind = "valency" if orders is None else "tree degree"
+        raise GraphError(f"vertices of {kind} < 3: {bad}")
+    return degrees
+
+
+def closed_form(g: MetricGraph, orders: Orders = None) -> tuple[float, dict[str, float]]:
+    """Minimal entropy over volume-1 metrics and the minimizing lengths,
+    keyed by unoriented edge id.
+
+    T = sum over x of d_x log(d_x - 1) / |G_x| is twice the minimum, and
+    edge uv has length log((d_u - 1)(d_v - 1)) / T, so that the sum of
+    length / |G_e| is 1.  Dividing by an order of 1 is exact, so a plain
+    graph gets the same bits with or without trivial orders.
+    """
+    degrees = branching_degrees(g, orders)
+    vertex_order = orders[0] if orders is not None else dict.fromkeys(g.vertices, 1)
+    total = sum(
+        d * math.log(d - 1) / vertex_order[x] for x, d in zip(g.vertices, degrees)
+    )
+    branching = dict(zip(g.vertices, (d - 1 for d in degrees)))
+    lengths = {
+        eid: math.log(branching[u] * branching[v]) / total
+        for eid, u, v, _ in g.unoriented
+    }
+    return 0.5 * total, lengths
 
 
 def minimal_entropy(g: MetricGraph) -> float:
     """Minimum entropy over volume-1 metrics; ignores the current lengths."""
-    _require_min_valency(g)
-    return 0.5 * sum((g.k(x) + 1) * math.log(g.k(x)) for x in g.vertices)
+    return closed_form(g)[0]
 
 
 def minimal_metric(g: MetricGraph) -> MinimalMetricResult:
     """The unique entropy-minimizing normalized metric and its Perron data."""
-    _require_min_valency(g)
-    total = sum((g.k(x) + 1) * math.log(g.k(x)) for x in g.vertices)
-    h = 0.5 * total
-    lengths = {}
-    for eid, u, v, _ in g.unoriented:
-        lengths[eid] = math.log(g.k(u) * g.k(v)) / total
+    h, lengths = closed_form(g)
     k_max = max(g.k(x) for x in g.vertices)
     perron = {
         e.id: math.sqrt(g.k(e.terminus) / k_max) for e in g.edges

@@ -318,8 +318,6 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     vertices); disagreement means an implementation bug and raises.  A
     reducible system's witness is its strongly connected components.
     """
-    if len(g.components()) > 1:
-        raise GraphError("irreducibility requires a connected graph")
     terminal = [x for x in g.vertices if g.valency(x) == 1]
     if terminal:
         raise GraphError(f"irreducibility requires no terminal vertices; found {terminal}")

@@ -98,7 +98,7 @@ def test_gog_group_errors():
 
 def test_cover_document_parsing():
     cover = cover_from_document(double_cover_doc())
-    assert cover.sheets == 2
+    assert cover.report.sheets == 2
     assert cover.edge_map["f1+"] == "e1+"
     assert cover.edge_map["f1-"] == "e1-"
 
