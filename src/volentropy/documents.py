@@ -79,16 +79,11 @@ def load_document(path: str | Path) -> Mapping:
     return doc
 
 
-def _check_keys(doc: Mapping, allowed: set[str], where: str) -> None:
-    # A mapping's keys view is compared as it is; anything else (a library
-    # caller may pass any value as a document) goes through the set
-    # difference.
-    try:
-        if doc.keys() <= allowed:
-            return
-    except (AttributeError, TypeError):
-        pass
-    unknown = set(doc) - allowed
+def _check_keys(doc: Any, allowed: set[str], where: str) -> None:
+    # A library caller may pass any value as a document.
+    if not isinstance(doc, Mapping):
+        raise DocumentError(f"{where}: must be a mapping")
+    unknown = doc.keys() - allowed
     if unknown:
         raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
 
@@ -188,8 +183,6 @@ def gog_from_document(doc: Mapping):
     vertices, records, missing_lengths = _edge_records(doc, require_lengths=False)
     graph = MetricGraph.from_unoriented(vertices, records)
     groups = doc.get("groups") or {}
-    if not isinstance(groups, Mapping):
-        raise DocumentError("groups: must be a mapping")
     _check_keys(groups, {"vertex_orders", "edge_orders"}, "groups")
     vertex_order = _orders(groups.get("vertex_orders"), graph.vertices, "groups.vertex_orders")
     edge_order = _orders(groups.get("edge_orders"), graph.unoriented_ids, "groups.edge_orders")

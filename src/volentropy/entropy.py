@@ -160,18 +160,18 @@ def volume_entropy(
     root_tol: float = config.ROOT_TOL,
     residual_tol: float = config.RESIDUAL_TOL,
 ) -> EntropySolution:
-    """Volume entropy of a metric graph, with its fixed-point vector."""
+    """Volume entropy of a metric graph, with its fixed-point vector.
+
+    The hypotheses leave a vertex of valency at least three and none of
+    valency one, so by the valency criterion, which ``edge_system`` checks
+    when it builds the system, the system is irreducible.
+    """
     report = validate_entropy_hypotheses(g)
     if not report.ok:
         raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
-    system = spectral.edge_system(g)
-    if not system.irreducible:
-        # The hypotheses leave a branch vertex, so this is the valency criterion.
-        raise RuntimeError(
-            "internal consistency failure: strong connectivity and the "
-            "valency criterion disagree"
-        )
-    return solve_unit_radius(system, root_tol=root_tol, residual_tol=residual_tol)
+    return solve_unit_radius(
+        spectral.edge_system(g), root_tol=root_tol, residual_tol=residual_tol
+    )
 
 
 def entropy_volume_product(g: MetricGraph, **kwargs) -> float:

@@ -82,12 +82,6 @@ class GraphOfGroups:
         """Tree degree of each vertex."""
         return dict(zip(self.graph.vertices, tree_degrees(self.graph, self.orders)))
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.vertex_order.values()) and all(
-            v == 1 for v in self.edge_order.values()
-        )
-
 
 def degree(gog: GraphOfGroups, x: str) -> int:
     """Valency of any lift of x in the covering tree."""

@@ -16,7 +16,7 @@ taking valency from counts and connectivity from union-find over the
 vertex numbers.  The views keyed by name (``edges``, ``edge_index``,
 ``out_edges``, ``lengths``, ``unoriented``) are built from these on first
 use.  ``with_lengths`` shares the topology, and every view built from it,
-and the solver state kept in its ``solver_memo``, and checks only the new
+and the edge systems kept in its ``solver_memo``, and checks only the new
 lengths.
 """
 
@@ -74,8 +74,8 @@ class Topology:
     ``reversal`` the number of the reversed edge and ``base`` the number of
     its unoriented edge; ``valency`` counts the oriented edges leaving each
     vertex.  The name-keyed views are built from these on first use.
-    ``solver_memo`` keeps what the entropy solver needs of the topology
-    and not of the lengths, so every metric on it shares that work.
+    ``solver_memo`` keeps the edge system of the topology, one per set of
+    group orders, so every metric on it shares the work of building it.
     """
 
     vertices: tuple[str, ...]
@@ -122,21 +122,24 @@ class Topology:
 
     @cached_property
     def solver_memo(self) -> dict:
-        """The length-independent solver state of this topology, filled by
-        ``spectral.edge_system`` and keyed by group orders (None for a
-        plain graph)."""
+        """One ``spectral.EdgeSystem`` per set of group orders (key None
+        for a plain graph), built by ``spectral.edge_system`` on its first
+        call; the solvers take copies of it with the lengths of each
+        metric."""
         return {}
 
 
 def _checked_length(eid: str, length: Length) -> Length:
-    """The length as a Fraction or float, or GraphError if it is neither or
-    not positive."""
+    """The length as a Fraction or float, or GraphError if it is neither,
+    is a float that is not finite, or is not positive."""
     if isinstance(length, int):
         length = Fraction(length)
     if isinstance(length, Fraction):
         # A Fraction keeps its sign in the numerator.
         positive = length.numerator > 0
     elif isinstance(length, float):
+        if not math.isfinite(length):
+            raise GraphError(f"edge {eid!r}: non-finite length {length}")
         positive = length > 0
     else:
         raise GraphError(f"edge {eid!r}: unsupported length type {type(length).__name__}")
@@ -193,9 +196,10 @@ class MetricGraph:
         """Build and validate a graph from unoriented edge records.
 
         Each record is ``(id, u, v, length)``.  Raises GraphError on
-        non-positive lengths, dangling endpoints, isolated vertices, or a
-        disconnected underlying graph.  One pass over the records numbers
-        the endpoints; one sort of the oriented ids numbers the edges.
+        non-finite or non-positive lengths, dangling endpoints, isolated
+        vertices, or a disconnected underlying graph.  One pass over the
+        records numbers the endpoints; one sort of the oriented ids numbers
+        the edges.
         """
         vertex_tuple = tuple(sorted(vertices))
         if not vertex_tuple:

@@ -65,11 +65,7 @@ def _successors(g: MetricGraph) -> list[list[int]]:
 
 
 def _count_completions(
-    g: MetricGraph,
-    start_edges: Sequence[str],
-    radii: Sequence[Fraction],
-    *,
-    cell_cap: int = config.ORACLE_CELL_CAP,
+    g: MetricGraph, start_edges: Sequence[str], radii: Sequence[Fraction]
 ) -> list[tuple[int, dict[str, int]]]:
     """Exact counts for several radii in one dynamic-programming pass.
 
@@ -85,10 +81,10 @@ def _count_completions(
     grid_lengths = [int(g.length(e.id) * denominator) for e in g.edges]
     thresholds = sorted(set(int(r * denominator) for r in radii))
     r_max = thresholds[-1]
-    cells = len(g.edges) * r_max
-    if cells > cell_cap:
+    cells, cap = len(g.edges) * r_max, config.ORACLE_CELL_CAP
+    if cells > cap:
         raise GraphError(
-            f"path-count grid needs {cells} cells, above the cap {cell_cap}; "
+            f"path-count grid needs {cells} cells, above the cap {cap}; "
             f"reduce the radius or the length denominators"
         )
     threshold_index = {t: i for i, t in enumerate(thresholds)}
@@ -141,52 +137,37 @@ def count_paths(
     r,
     *,
     with_breakdown: bool = False,
-    cell_cap: int = config.ORACLE_CELL_CAP,
 ) -> PathCount:
     """Exact number of combinatorial paths of length r starting at x0."""
     _require_rational_graph(g)
     radius = _as_fraction(r, "radius")
     starts = g.out_edges(x0)
-    (total, breakdown), = _count_completions(g, starts, [radius], cell_cap=cell_cap)
+    (total, breakdown), = _count_completions(g, starts, [radius])
     return PathCount(radius, total, breakdown if with_breakdown else None)
 
 
-def count_paths_between(
-    g: MetricGraph,
-    e: str,
-    f: str,
-    r,
-    *,
-    cell_cap: int = config.ORACLE_CELL_CAP,
-) -> int:
+def count_paths_between(g: MetricGraph, e: str, f: str, r) -> int:
     """Exact number of paths of length r with initial edge e and terminal
     edge f."""
     _require_rational_graph(g)
     radius = _as_fraction(r, "radius")
     g.edge(e)
     g.edge(f)
-    (_, breakdown), = _count_completions(g, [e], [radius], cell_cap=cell_cap)
+    (_, breakdown), = _count_completions(g, [e], [radius])
     return breakdown.get(f, 0)
 
 
-def estimate_entropy(
-    g: MetricGraph,
-    x0: str,
-    r_max,
-    *,
-    points: int = config.ORACLE_FIT_POINTS,
-    cell_cap: int = config.ORACLE_CELL_CAP,
-) -> EntropyEstimate:
+def estimate_entropy(g: MetricGraph, x0: str, r_max) -> EntropyEstimate:
     """Growth-rate estimate of the path counts from x0.
 
-    Fits log count against r over evenly spaced radii in [r_max/2, r_max];
-    the band combines the fit standard error with the a-priori width of the
-    last counting shell.  The estimate is approximate by nature.
+    Fits log count against r over ``config.ORACLE_FIT_POINTS`` evenly
+    spaced radii in [r_max/2, r_max]; the band combines the fit standard
+    error with the a-priori width of the last counting shell.  The
+    estimate is approximate by nature.
     """
     _require_rational_graph(g)
     radius_max = _as_fraction(r_max, "r_max")
-    if points < 4:
-        raise GraphError(f"need at least 4 fit points, got {points}")
+    points = config.ORACLE_FIT_POINTS
     denominator = math.lcm(
         *(length.denominator for length in g.lengths.values()),
         radius_max.denominator,
@@ -205,7 +186,7 @@ def estimate_entropy(
     grid = [Fraction(s, denominator) for s in snapped]
     shell = radius_max - _as_fraction(g.l_max, "l_max")
     radii = list(grid) + ([shell] if shell > 0 else [])
-    results = _count_completions(g, g.out_edges(x0), radii, cell_cap=cell_cap)
+    results = _count_completions(g, g.out_edges(x0), radii)
     counts = [total for total, _ in results[: len(grid)]]
     if counts[-1] < 1000:
         raise GraphError(

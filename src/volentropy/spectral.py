@@ -32,11 +32,15 @@ class EdgeSystem:
     ``irreducible`` says whether the triplets' support is strongly
     connected, found by reachability from edge 0 and its reversal.
 
-    Only ``lengths`` depends on the metric.  ``edge_system`` shares the
-    other arrays, read-only, among every system built on one topology and
-    group orders, and with them ``at_zero``: a slot where the entropy
-    solver keeps the Perron root and vector at h = 0, which depend on the
-    triplets alone.  A system built by hand gets an empty slot of its own.
+    Only ``lengths`` depends on the metric.  ``edge_system`` keeps one
+    system per topology and group orders in the topology's
+    ``solver_memo``, with read-only arrays, and hands out copies that
+    differ from it only in ``lengths``.  They share ``at_zero``, a slot
+    where the entropy solver keeps the Perron root and vector at h = 0,
+    which depend on the triplets alone, and ``base``, the unoriented edge
+    of each oriented edge, through which ``edge_system`` spreads the
+    lengths.  A system built by hand gets an empty slot of its own and
+    needs no ``base``.
     """
 
     edge_ids: tuple[str, ...]
@@ -48,6 +52,7 @@ class EdgeSystem:
     edge_orders: np.ndarray
     irreducible: bool
     at_zero: dict = field(default_factory=dict, repr=False, compare=False)
+    base: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -130,11 +135,15 @@ def edge_system(
     ``orders`` holds a graph of groups' vertex orders and edge orders, the
     latter keyed by unoriented edge id; None means every order is 1.
     Everything but the lengths depends only on the topology and the orders,
-    so it is built once and kept in the topology's ``solver_memo``, keyed
-    by the orders listed in vertex and unoriented edge order (None for a
-    plain graph); every graph that ``with_lengths`` makes from g shares it.
-    A call then only converts each unoriented length once and spreads it
-    to both orientations.
+    so the first call builds the whole system and keeps it in the
+    topology's ``solver_memo``, keyed by the orders listed in vertex and
+    unoriented edge order (None for a plain graph); every graph that
+    ``with_lengths`` makes from g shares it.  Each call converts each
+    unoriented length once, spreads it to both orientations through the
+    memo's ``base`` and returns a copy of the memo's system with these
+    lengths.  Building a plain graph's system checks it against the
+    valency criterion (see ``_build``) and raises RuntimeError if they
+    disagree.
     """
     t = g.topology
     if orders is None:
@@ -145,64 +154,51 @@ def edge_system(
             tuple(vertex_order[x] for x in t.vertices),
             tuple(edge_order[eid] for eid in t.unoriented_ids),
         )
-    structure = t.solver_memo.get(key)
-    if structure is None:
-        structure = t.solver_memo[key] = _structure(t, key)
     # numerator / denominator is float(Fraction), correctly rounded.
     lengths = np.array([
         length if isinstance(length, float) else length.numerator / length.denominator
         for length in g.base_lengths
     ])
+    memo = t.solver_memo.get(key)
+    if memo is None:
+        memo = t.solver_memo[key] = _build(t, key, lengths)
+    # Positional: dataclasses.replace costs about half as much again.
     return EdgeSystem(
-        edge_ids=t.edge_ids,
-        rows=structure.rows,
-        cols=structure.cols,
-        vals=structure.vals,
-        lengths=lengths[structure.base],
-        reversal=structure.reversal,
-        edge_orders=structure.edge_orders,
-        irreducible=structure.irreducible,
-        at_zero=structure.at_zero,
+        memo.edge_ids, memo.rows, memo.cols, memo.vals, lengths[memo.base], memo.reversal,
+        memo.edge_orders, memo.irreducible, memo.at_zero, memo.base,
     )
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """The length-independent part of an edge system, kept per topology and
-    group orders.  Its arrays are read-only and it holds no reference to
-    the topology; ``base`` numbers each oriented edge's unoriented edge."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    reversal: np.ndarray
-    edge_orders: np.ndarray
-    base: np.ndarray
-    irreducible: bool
-    at_zero: dict
-
-
-def _structure(
-    t: Topology, orders: tuple[tuple[int, ...], tuple[int, ...]] | None
-) -> _Structure:
-    """Triplets, reversal, edge orders and irreducibility of a topology
-    with group orders given per vertex and per unoriented edge.
+def _build(
+    t: Topology,
+    orders: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    lengths: np.ndarray,
+) -> EdgeSystem:
+    """The edge system of a topology with group orders given per vertex and
+    per unoriented edge, and with the given unoriented lengths; its arrays
+    are read-only and it holds no reference to the topology.
 
     The triplets come from the topology's index arrays, in row-major order
-    with each row's columns ascending.
+    with each row's columns ascending.  A lift of vertex x has
+    |G_x| // |G_f| lifts of each edge f leaving x, divided in Python ints,
+    since group orders may exceed any machine integer, and kept as floats
+    like the edge orders.  For a plain graph, strong connectivity must
+    agree with the valency criterion: a connected graph's system is
+    irreducible exactly when no vertex has valency 1 and some vertex has
+    valency at least 3.
     """
     origin, terminus, reversal, base = (
         np.array(part, dtype=np.intp) for part in (t.origin, t.terminus, t.reversal, t.base)
     )
     n = len(t.edge_ids)
     if orders is None:
-        edge_orders = np.ones(n, dtype=np.intp)
-        lifts = edge_orders
+        edge_orders = lifts = np.ones(n)
     else:
-        vertex_orders, unoriented_orders = (np.array(part, dtype=np.intp) for part in orders)
-        edge_orders = unoriented_orders[base]
-        # A lift of vertex x has |G_x| / |G_f| lifts of each edge f leaving x.
-        lifts = vertex_orders[origin] // edge_orders
+        vertex_orders, unoriented_orders = orders
+        edge_orders = np.array(unoriented_orders, dtype=float)[base]
+        lifts = np.array([
+            float(vertex_orders[x] // unoriented_orders[b]) for x, b in zip(t.origin, t.base)
+        ])
     # Stable, so each vertex's out-edges keep ascending index order.
     out = origin.argsort(kind="stable")
     degree = np.array(t.valency, dtype=np.intp)
@@ -216,14 +212,18 @@ def _structure(
     # One lift of the reversal is the backtrack.
     vals = lifts[cols] - (cols == reversal[rows])
     keep = vals > 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(float)
-    edge_orders = edge_orders.astype(float)
-    for part in (rows, cols, vals, reversal, edge_orders, base):
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    irreducible = _strongly_connected(rows, cols, reversal)
+    if orders is None and irreducible != (1 not in t.valency and max(t.valency) >= 3):
+        raise RuntimeError(
+            "internal consistency failure: strong connectivity and the "
+            "valency criterion disagree"
+        )
+    lengths = lengths[base]
+    for part in (rows, cols, vals, lengths, reversal, edge_orders, base):
         part.setflags(write=False)
-    return _Structure(
-        rows, cols, vals, reversal, edge_orders, base,
-        irreducible=_strongly_connected(rows, cols, reversal),
-        at_zero={},
+    return EdgeSystem(
+        t.edge_ids, rows, cols, vals, lengths, reversal, edge_orders, irreducible, {}, base
     )
 
 
@@ -313,21 +313,16 @@ def strongly_connected_components(
 def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     """Strong connectivity of the non-backtracking edge digraph.
 
-    Cross-checked against the valency criterion (irreducible iff some vertex
-    has valency at least three, for connected graphs without terminal
-    vertices); disagreement means an implementation bug and raises.  A
-    reducible system's witness is its strongly connected components.
+    A graph with terminal vertices raises GraphError.  Otherwise the flag
+    is the edge system's, which ``edge_system`` has checked against the
+    valency criterion (irreducible iff some vertex has valency at least
+    three).  A reducible system's witness is its strongly connected
+    components.
     """
     terminal = [x for x in g.vertices if g.valency(x) == 1]
     if terminal:
         raise GraphError(f"irreducibility requires no terminal vertices; found {terminal}")
     system = edge_system(g)
-    has_branch_vertex = any(g.valency(x) >= 3 for x in g.vertices)
-    if system.irreducible != has_branch_vertex:
-        raise RuntimeError(
-            "internal consistency failure: strong connectivity and the "
-            "valency criterion disagree"
-        )
     if system.irreducible:
         return IrreducibilityReport(True, None)
     witness = tuple(

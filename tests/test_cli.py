@@ -120,6 +120,27 @@ def test_gog_entropy(capsys, tmp_path):
     assert out["degrees"] == {"x": 3, "y": 3}
 
 
+def test_gog_entropy_with_orders_beyond_machine_integers(capsys, tmp_path):
+    # Orders of 1e20 and more divide to the tree degrees 3 and 4 exactly.
+    results = []
+    for scale in (1, 10**20):
+        doc = {
+            "vertices": ["x", "y"],
+            "edges": [{"u": "x", "v": "y", "length": 1, "id": "e"}],
+            "groups": {
+                "vertex_orders": {"x": 3 * scale, "y": 4 * scale},
+                "edge_orders": {"e": scale},
+            },
+        }
+        path = tmp_path / f"seg{scale}.graph"
+        path.write_text(yaml.safe_dump(doc))
+        code, out = run_json(capsys, ["gog-entropy", str(path)])
+        assert code == 0
+        assert out["degrees"] == {"x": 3, "y": 4}
+        results.append(out["h"])
+    assert results[0] == results[1]
+
+
 def test_gog_minimize(capsys, tmp_path):
     doc = {
         "vertices": ["x", "y"],

@@ -77,7 +77,8 @@ def test_canonical_text_is_stable():
 
 def test_gog_defaults_to_trivial_orders():
     gog = gog_from_document(THETA_DOC)
-    assert gog.is_trivial
+    assert gog.vertex_order == dict.fromkeys(gog.graph.vertices, 1)
+    assert gog.edge_order == dict.fromkeys(gog.graph.unoriented_ids, 1)
     assert gog.has_lengths
 
 
@@ -160,6 +161,13 @@ def test_edge_record_error_texts():
     assert document_error({"vertices": ab, "edges": [{"u": "a", "v": "b", "length": "x"}]}) == (
         "edges[0].length: not a rational: 'x'"
     )
+
+
+def test_non_mapping_documents_rejected():
+    for parse in (graph_from_document, gog_from_document, cover_from_document):
+        for doc in ([], None, 5, "ab"):
+            with pytest.raises(DocumentError, match="^document: must be a mapping$"):
+                parse(doc)
 
 
 def test_generated_ids_skip_explicit_ones():

@@ -123,6 +123,8 @@ def test_scale_metric():
         scale_metric(theta(), 0)
     with pytest.raises(GraphError):
         scale_metric(theta(), Fraction(-1, 2))
+    with pytest.raises(GraphError, match="^edge 'e1': non-finite length inf$"):
+        scale_metric(theta(), float("inf"))
 
 
 def test_series_reduce_subdivided_theta():
@@ -281,9 +283,10 @@ def test_build_error_texts():
         "edge 'e1': non-positive length -1/2"
     )
     assert build_error(["a"], [("e1", "a", "a", -0.5)]) == "edge 'e1': non-positive length -0.5"
-    assert build_error(["a"], [("e1", "a", "a", float("nan"))]) == (
-        "edge 'e1': non-positive length nan"
-    )
+    for bad in ("nan", "inf", "-inf"):
+        assert build_error(["a"], [("e1", "a", "a", float(bad))]) == (
+            f"edge 'e1': non-finite length {bad}"
+        )
     assert build_error(["a", "b", "c"], [("e1", "a", "b", ONE)]) == "isolated vertex 'c'"
 
 
@@ -332,6 +335,10 @@ def test_with_lengths_error_texts():
     assert with_lengths_error(g, {"e3": ONE, "e2": ONE, "e1": -1.0}) == (
         "edge 'e1': non-positive length -1.0"
     )
+    for bad in ("nan", "inf", "-inf"):
+        assert with_lengths_error(g, {"e3": ONE, "e2": ONE, "e1": float(bad)}) == (
+            f"edge 'e1': non-finite length {bad}"
+        )
 
 
 @settings(max_examples=80, deadline=None)

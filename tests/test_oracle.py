@@ -77,9 +77,10 @@ def test_irrational_lengths_rejected():
 
 
 def test_cell_cap():
+    # Radius 10**7 on the grid of 1/997 needs about 6e10 cells.
     g = theta((Fraction(1, 997), 1, 1))
     with pytest.raises(GraphError, match="cells"):
-        count_paths(g, "a", 10**7, cell_cap=10**6)
+        count_paths(g, "a", 10**7)
 
 
 def test_estimate_theta_within_two_percent():
@@ -104,11 +105,6 @@ def test_estimate_matches_solver():
 def test_estimate_requires_enough_paths():
     with pytest.raises(GraphError, match="1000|paths"):
         estimate_entropy(theta(), "a", 5)
-
-
-def test_estimate_requires_enough_points():
-    with pytest.raises(GraphError, match="4"):
-        estimate_entropy(theta(), "a", 20, points=3)
 
 
 def test_counts_are_exact_integers():

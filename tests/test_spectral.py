@@ -1,5 +1,6 @@
 """Edge adjacency, irreducibility, and the Perron machinery."""
 
+import dataclasses
 import math
 import weakref
 from fractions import Fraction
@@ -429,3 +430,33 @@ def test_memo_arrays_are_read_only():
     topology = weakref.ref(g.topology)
     del g
     assert topology() is None
+
+
+def test_memo_values_are_read_only_edge_systems():
+    gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+    g = gog.graph
+    spectral.edge_system(g)
+    gog_entropy(gog)
+    assert len(g.topology.solver_memo) == 2
+    for system in g.topology.solver_memo.values():
+        assert isinstance(system, spectral.EdgeSystem)
+        arrays = [getattr(system, f.name) for f in dataclasses.fields(system)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_valency_criterion_is_checked_when_a_plain_system_is_built(monkeypatch):
+    # Reachability that contradicts the valency criterion is an
+    # implementation bug; the check runs once per topology, when the
+    # system is built, and every caller surfaces it.
+    built = theta()
+    spectral.edge_system(built)
+    monkeypatch.setattr(spectral, "_strongly_connected", lambda rows, cols, reversal: False)
+    for call in (spectral.edge_system, volume_entropy, is_irreducible):
+        with pytest.raises(RuntimeError, match="internal consistency failure"):
+            call(theta())
+    assert volume_entropy(built.with_lengths({"e1": 1, "e2": 2, "e3": 3})).h > 0
+    monkeypatch.setattr(spectral, "_strongly_connected", lambda rows, cols, reversal: True)
+    with pytest.raises(RuntimeError, match="internal consistency failure"):
+        is_irreducible(cycle(4))
