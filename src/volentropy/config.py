@@ -29,8 +29,9 @@ POWER_MAX_ITER = 10**6
 
 # Dense matrices (shifted inverse iteration, one np.linalg.solve per step,
 # which an intermediate Newton evaluation ends once its bounds settle the
-# side of 1) below this oriented edge count; from it up, a triplet operator
-# with a numpy bincount product (power iteration).
+# side of 1) below this oriented edge count; from it up, a gather operator
+# with one weight per oriented edge, whose product sums blocks of columns
+# grouped by entries per row (power iteration).
 DENSE_EDGE_LIMIT = 64
 
 # Path-count oracle: default radius in integer grid units, number of fit

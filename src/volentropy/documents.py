@@ -85,7 +85,8 @@ def _check_keys(doc: Any, allowed: set[str], where: str) -> None:
         raise DocumentError(f"{where}: must be a mapping")
     unknown = doc.keys() - allowed
     if unknown:
-        raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
+        # By str: YAML keys may be of mixed types, such as 1 next to "x".
+        raise DocumentError(f"{where}: unknown fields {sorted(unknown, key=str)}")
 
 
 def _edge_records(doc: Mapping, require_lengths: bool):

@@ -70,8 +70,13 @@ def solve_unit_radius(
     where those are wider (from a scaled root of 2**10 up, for the default
     ``root_tol``); a step from below whose aim does not get past the
     bracket's left end counts as converged, so the next probe lands as far
-    past the root instead of bisecting the bracket.  Each radius evaluation
-    starts from the Perron vector of the one before.  The Newton
+    past the root instead of bisecting the bracket.  A radius that
+    evaluates to exactly 1 counts as below 1 and steps as the double just
+    below 1 would.  The first Newton evaluation starts from the Perron
+    vector at h = 0, and each later one, the final one included, from the
+    secant extrapolation of the last two Perron vectors to its h (see
+    ``_warm_start``), on either Perron path; the iterations' stopping
+    rules do not depend on the start.  The Newton
     evaluations pass target 1, so either Perron path may stop once rho is
     certified to lie on one side of 1; the evaluation at h = 0, which sets
     the bracket's right end, and the final one run to full precision.  The
@@ -95,13 +100,16 @@ def solve_unit_radius(
     # log rho is convex, so its tangent root at h = 0 is below the root.
     y = spectral.left_perron_vector(system, x, 0.0)
     h = math.log(radius0) * float(y @ x) / float(y @ (lengths * x))
+    # The last two evaluations' (h, Perron vector), for the warm starts.
+    solved = ((0.0, x),)
     while True:
         if evaluations >= config.ROOT_MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"entropy root not bracketed to {root_tol:.1e} in {evaluations} "
                 f"evaluations (bracket {lo!r}, {hi!r})"
             )
-        radius, x, _ = spectral.perron_at(system, h, start=x, target=1.0)
+        radius, x, _ = spectral.perron_at(system, h, start=_warm_start(h, solved), target=1.0)
+        solved = (solved[-1], (h, x))
         evaluations += 1
         if radius > 1.0:
             lo = h
@@ -112,7 +120,11 @@ def solve_unit_radius(
         if hi_probed and (hi - lo < root_tol or not lo < 0.5 * (lo + hi) < hi):
             break
         y = spectral.left_perron_vector(system, x, h)
-        step = math.log(radius) * float(y @ x) / float(y @ (lengths * x))
+        # A radius that rounds to exactly 1 counts as below 1; it steps as the
+        # double just below 1 would, or the aim would creep down by the margin
+        # on a radius that reads 1 over many doubles.
+        log_radius = math.log(radius) if radius != 1.0 else math.log1p(-2.0**-53)
+        step = log_radius * float(y @ x) / float(y @ (lengths * x))
         # Two ulps at least, so that an aim past or short of the root does
         # not round onto it.
         margin = max(root_tol / 3.0, 2.0 * math.ulp(h))
@@ -125,7 +137,7 @@ def solve_unit_radius(
         else:
             h = 0.5 * (lo + hi)
     h = 0.5 * (lo + hi)
-    _, vec, matrix = spectral.perron_at(system, h, start=x)
+    _, vec, matrix = spectral.perron_at(system, h, start=_warm_start(h, solved))
     evaluations += 1
     residual = float(abs(vec - matrix @ vec).max())
     if residual > residual_tol:
@@ -134,6 +146,25 @@ def solve_unit_radius(
         )
     vector = dict(zip(system.edge_ids, vec.tolist()))
     return EntropySolution(h / scale, vector, (lo / scale, hi / scale), residual, evaluations)
+
+
+def _warm_start(h: float, solved):
+    """Start vector for the evaluation at h, from the last two evaluations'
+    (h, Perron vector) pairs, oldest first (one pair after h = 0 alone).
+
+    The secant extrapolation x1 + t (x1 - x0), t = (h - h1) / (h1 - h0),
+    of the Perron vectors x0 at h0 and x1 at h1, max-normalized; x1 itself
+    if only one pair is known or the extrapolation has an entry that is not
+    positive.  Consecutive evaluations are at distinct h.
+    """
+    h1, x1 = solved[-1]
+    if len(solved) == 1:
+        return x1
+    h0, x0 = solved[0]
+    guess = x1 + (h - h1) / (h1 - h0) * (x1 - x0)
+    if not float(guess.min()) > 0.0:
+        return x1
+    return guess / float(guess.max())
 
 
 def _perron_at_zero(system: spectral.EdgeSystem):

@@ -148,6 +148,17 @@ def _checked_length(eid: str, length: Length) -> Length:
     return length
 
 
+def float_order(value: int, what: str) -> float:
+    """A group order, or a count of lifts made from orders, as a float, or
+    GraphError naming ``what`` if it exceeds the float range.  The float is
+    the one Python's int-to-float conversion gives, so arithmetic with it has
+    the bits that arithmetic with the int has."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphError(f"{what} exceeds the float range (about 1.8e308)") from None
+
+
 def _components(size: int, ends: list[int]) -> list[list[int]]:
     """Vertex numbers of each connected component, by union-find over the
     pairs ``ends[2k], ends[2k + 1]``; each component ascending, the

@@ -25,6 +25,7 @@ from .errors import ConvergenceError, GraphError
 from .graph import (
     MetricGraph,
     base_id,
+    float_order,
     reversal_id,
     series_reduce,
     validate_entropy_hypotheses,
@@ -91,12 +92,15 @@ def closed_form(g: MetricGraph, orders: Orders = None) -> tuple[float, dict[str,
     T = sum over x of d_x log(d_x - 1) / |G_x| is twice the minimum, and
     edge uv has length log((d_u - 1)(d_v - 1)) / T, so that the sum of
     length / |G_e| is 1.  Dividing by an order of 1 is exact, so a plain
-    graph gets the same bits with or without trivial orders.
+    graph gets the same bits with or without trivial orders.  A group order
+    or tree degree beyond the float range raises GraphError.
     """
     degrees = branching_degrees(g, orders)
     vertex_order = orders[0] if orders is not None else dict.fromkeys(g.vertices, 1)
     total = sum(
-        d * math.log(d - 1) / vertex_order[x] for x, d in zip(g.vertices, degrees)
+        float_order(d, f"vertex {x!r}: tree degree") * math.log(d - 1)
+        / float_order(vertex_order[x], f"vertex {x!r}: group order")
+        for x, d in zip(g.vertices, degrees)
     )
     branching = dict(zip(g.vertices, (d - 1 for d in degrees)))
     lengths = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import ConvergenceError, GraphError
-from .graph import MetricGraph, Topology
+from .graph import MetricGraph, Topology, float_order
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,13 @@ class EdgeSystem:
     ``solver_memo``, with read-only arrays, and hands out copies that
     differ from it only in ``lengths``.  They share ``at_zero``, a slot
     where the entropy solver keeps the Perron root and vector at h = 0,
-    which depend on the triplets alone, and ``base``, the unoriented edge
-    of each oriented edge, through which ``edge_system`` spreads the
-    lengths.  A system built by hand gets an empty slot of its own and
-    needs no ``base``.
+    which depend on the triplets alone; ``base``, the unoriented edge of
+    each oriented edge, through which ``edge_system`` spreads the lengths;
+    and ``layout``, the triplets grouped for the gather product (see
+    ``_row_groups``), which ``perron_at`` and ``weighted_matrix`` pass to
+    ``assemble``.
+    A system built by hand gets an empty slot of its own and needs no
+    ``base`` or ``layout``.
     """
 
     edge_ids: tuple[str, ...]
@@ -53,6 +56,7 @@ class EdgeSystem:
     irreducible: bool
     at_zero: dict = field(default_factory=dict, repr=False, compare=False)
     base: np.ndarray | None = field(default=None, repr=False, compare=False)
+    layout: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -84,20 +88,63 @@ class EdgeAdjacency:
 
 
 @dataclass(frozen=True)
-class TripletMatrix:
-    """Sparse square matrix as row-major triplets; ``@`` multiplies a vector."""
+class GatherMatrix:
+    """The sparse weighted matrix: entry vals * weights[col], with the
+    triplets grouped by ``_row_groups``; ``@`` multiplies a vector.
 
-    rows: np.ndarray
-    cols: np.ndarray
+    A product forms z = weights * x once, gathers z over each group's block
+    of columns, scales it by the block's multiplicities (unless they are all
+    1) and sums the block over its first axis, that is, over each row's
+    entries in triplet order, one after the other, as ``np.bincount`` over
+    the triplets would.  A group that holds every row needs no scatter.
+    """
+
     weights: np.ndarray
+    layout: tuple
     shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.weights)
+    nnz: int
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.shape[0])
+        z = self.weights * x
+        out = np.empty(self.shape[0])
+        for rows, cols, vals in self.layout:
+            block = z[cols] if vals is None else vals * z[cols]
+            if rows is None:
+                return block.sum(axis=0)
+            out[rows] = block.sum(axis=0)
+        return out
+
+
+def _row_groups(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> tuple:
+    """The triplets of an n-row matrix grouped by entries per row, for
+    ``GatherMatrix``.
+
+    One group (rows, cols, vals) per distinct count c, rows with no entries
+    included: ``rows`` lists the rows with c entries, ascending, and
+    ``cols`` and ``vals`` are (c, len(rows)) blocks whose column k holds the
+    columns and multiplicities of row rows[k] in triplet order.  ``vals`` is
+    None where every multiplicity is 1, and ``rows`` is None when the group
+    holds every row, as for a regular graph.  The arrays are read-only.
+    """
+    # Stable, so each row keeps its entries in triplet order.
+    order = rows.argsort(kind="stable")
+    cols, vals = cols[order], vals[order]
+    counts = np.bincount(rows, minlength=n)
+    starts = counts.cumsum() - counts
+    groups = []
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        members = np.flatnonzero(counts == c)
+        at = starts[members] + np.arange(c)[:, None]
+        group = (
+            None if len(members) == n else members,
+            cols[at],
+            None if (vals[at] == 1.0).all() else vals[at],
+        )
+        for part in group:
+            if part is not None:
+                part.setflags(write=False)
+        groups.append(group)
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -106,7 +153,7 @@ class WeightedEdgeMatrix:
 
     base: EdgeSystem
     h: float
-    entries: np.ndarray | TripletMatrix
+    entries: np.ndarray | GatherMatrix
 
 
 @dataclass(frozen=True)
@@ -165,7 +212,7 @@ def edge_system(
     # Positional: dataclasses.replace costs about half as much again.
     return EdgeSystem(
         memo.edge_ids, memo.rows, memo.cols, memo.vals, lengths[memo.base], memo.reversal,
-        memo.edge_orders, memo.irreducible, memo.at_zero, memo.base,
+        memo.edge_orders, memo.irreducible, memo.at_zero, memo.base, memo.layout,
     )
 
 
@@ -182,7 +229,9 @@ def _build(
     with each row's columns ascending.  A lift of vertex x has
     |G_x| // |G_f| lifts of each edge f leaving x, divided in Python ints,
     since group orders may exceed any machine integer, and kept as floats
-    like the edge orders.  For a plain graph, strong connectivity must
+    like the edge orders; either beyond the float range raises GraphError.
+    ``_row_groups`` groups the triplets once, here, as the system's
+    ``layout``.  For a plain graph, strong connectivity must
     agree with the valency criterion: a connected graph's system is
     irreducible exactly when no vertex has valency 1 and some vertex has
     valency at least 3.
@@ -195,9 +244,16 @@ def _build(
         edge_orders = lifts = np.ones(n)
     else:
         vertex_orders, unoriented_orders = orders
-        edge_orders = np.array(unoriented_orders, dtype=float)[base]
+        edge_orders = np.array([
+            float_order(order, f"edge {eid!r}: group order")
+            for order, eid in zip(unoriented_orders, t.unoriented_ids)
+        ])[base]
         lifts = np.array([
-            float(vertex_orders[x] // unoriented_orders[b]) for x, b in zip(t.origin, t.base)
+            float_order(
+                vertex_orders[x] // unoriented_orders[b],
+                f"vertex {t.vertices[x]!r}: index of the group of edge {t.unoriented_ids[b]!r}",
+            )
+            for x, b in zip(t.origin, t.base)
         ])
     # Stable, so each vertex's out-edges keep ascending index order.
     out = origin.argsort(kind="stable")
@@ -220,10 +276,12 @@ def _build(
             "valency criterion disagree"
         )
     lengths = lengths[base]
+    layout = _row_groups(rows, cols, vals, n)
     for part in (rows, cols, vals, lengths, reversal, edge_orders, base):
         part.setflags(write=False)
     return EdgeSystem(
-        t.edge_ids, rows, cols, vals, lengths, reversal, edge_orders, irreducible, {}, base
+        t.edge_ids, rows, cols, vals, lengths, reversal, edge_orders, irreducible, {}, base,
+        layout,
     )
 
 
@@ -342,14 +400,24 @@ def assemble(
     n: int,
     h: float,
     lengths: np.ndarray,
-) -> np.ndarray | TripletMatrix:
-    """Weighted matrix with entry vals * exp(-h * lengths[col])."""
-    weighted = vals * np.exp(-h * lengths[cols])
+    layout: tuple | None = None,
+) -> np.ndarray | GatherMatrix:
+    """Weighted matrix with entry vals * exp(-h * lengths[col]).
+
+    One weight exp(-h * length) per oriented edge.  Below
+    ``DENSE_EDGE_LIMIT`` edges the matrix is a dense array; from it up, a
+    ``GatherMatrix`` on ``layout``, the triplets as ``_row_groups`` groups
+    them (an ``EdgeSystem`` from ``edge_system`` carries it), or grouped
+    here when it is None.
+    """
+    weights = np.exp(-h * lengths)
     if n < config.DENSE_EDGE_LIMIT:
         out = np.zeros((n, n))
-        out[rows, cols] = weighted
+        out[rows, cols] = vals * weights[cols]
         return out
-    return TripletMatrix(rows, cols, weighted, (n, n))
+    if layout is None:
+        layout = _row_groups(rows, cols, vals, n)
+    return GatherMatrix(weights, layout, (n, n), len(vals))
 
 
 def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
@@ -358,7 +426,8 @@ def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
         raise GraphError(f"weight exponent must be nonnegative, got {h}")
     system = edge_system(g)
     entries = assemble(
-        system.rows, system.cols, system.vals, system.order, float(h), system.lengths
+        system.rows, system.cols, system.vals, system.order, float(h), system.lengths,
+        system.layout,
     )
     return WeightedEdgeMatrix(system, float(h), entries)
 
@@ -368,11 +437,13 @@ def perron_at(
     h: float,
     start: np.ndarray | None = None,
     target: float | None = None,
-) -> tuple[float, np.ndarray, np.ndarray | TripletMatrix]:
+) -> tuple[float, np.ndarray, np.ndarray | GatherMatrix]:
     """Perron root, max-normalized Perron vector and the system's matrix at h.
 
     Both paths start from ``start``, a positive vector such as the Perron
-    vector at a nearby h, or from the all-ones vector.  A ``TripletMatrix``
+    vector at a nearby h or an extrapolation of Perron vectors to h, or
+    from the all-ones vector.  The matrix comes from ``assemble`` with the
+    system's ``layout``.  A ``GatherMatrix``
     (from ``DENSE_EDGE_LIMIT`` edges up) goes through ``power_iteration``,
     which gets ``target`` and may stop early once rho is certified to lie on
     one side of it.
@@ -393,7 +464,9 @@ def perron_at(
     the largest.
     """
     n = system.order
-    matrix = assemble(system.rows, system.cols, system.vals, n, h, system.lengths)
+    matrix = assemble(
+        system.rows, system.cols, system.vals, n, h, system.lengths, system.layout
+    )
     x = np.ones(n) if start is None else start
     gap = math.inf
     while isinstance(matrix, np.ndarray):
@@ -431,7 +504,7 @@ def left_perron_vector(system: EdgeSystem, x: np.ndarray, h: float) -> np.ndarra
 
 
 def power_iteration(
-    matrix: np.ndarray | TripletMatrix,
+    matrix: np.ndarray | GatherMatrix,
     start: np.ndarray | None = None,
     target: float | None = None,
 ) -> tuple[float, np.ndarray, int, float]:

@@ -141,6 +141,27 @@ def test_gog_entropy_with_orders_beyond_machine_integers(capsys, tmp_path):
     assert results[0] == results[1]
 
 
+def test_orders_beyond_the_float_range_are_invalid(capsys, tmp_path):
+    # 400-digit orders: the tree degrees are still 3 and 4, but the edge
+    # order does not fit the solver's floats, nor the vertex orders the
+    # closed form's.
+    scale = 10**400
+    path = tmp_path / "seg400.graph"
+    path.write_text(yaml.safe_dump({
+        "vertices": ["x", "y"],
+        "edges": [{"u": "x", "v": "y", "length": 1, "id": "e"}],
+        "groups": {
+            "vertex_orders": {"x": 3 * scale, "y": 4 * scale},
+            "edge_orders": {"e": scale},
+        },
+    }))
+    for subcommand, owner in (("gog-entropy", "edge 'e'"), ("gog-minimize", "vertex 'x'")):
+        assert main([subcommand, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {owner}: group order exceeds the float range (about 1.8e308)\n"
+
+
 def test_gog_minimize(capsys, tmp_path):
     doc = {
         "vertices": ["x", "y"],
@@ -295,6 +316,15 @@ def test_malformed_document_is_usage_error(capsys, tmp_path):
     path.write_text("vertices: [a\n")
     assert main(["entropy", str(path)]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_mixed_type_keys_are_usage_error(capsys, tmp_path):
+    path = tmp_path / "mixed.graph"
+    path.write_text("vertices: [a, b]\nedges:\n  - {u: a, v: b, length: 1}\n1: 2\nx: 3\n")
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "unknown fields [1, 'x']" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -170,6 +170,20 @@ def test_non_mapping_documents_rejected():
                 parse(doc)
 
 
+def test_mixed_type_keys_rejected():
+    # YAML keys need not be strings; the unknown ones are listed sorted by str.
+    ab = ["a", "b"]
+    edge = {"u": "a", "v": "b", "length": 1}
+    assert document_error({"vertices": ab, "edges": [edge], 1: 2, "x": 3}) == (
+        "document: unknown fields [1, 'x']"
+    )
+    assert document_error({"vertices": ab, "edges": [{**edge, 2: 0, "w": 1}]}) == (
+        "edges[0]: unknown fields [2, 'w']"
+    )
+    with pytest.raises(DocumentError, match=r"^groups: unknown fields \[1, 'x'\]$"):
+        gog_from_document({"vertices": ab, "edges": [edge], "groups": {1: 2, "x": 3}})
+
+
 def test_generated_ids_skip_explicit_ones():
     g = graph_from_document({
         "vertices": ["a", "b"],

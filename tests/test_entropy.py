@@ -173,13 +173,19 @@ def _power_iteration_calls(monkeypatch, full_precision=False):
     return calls
 
 
-@pytest.mark.parametrize(
-    "g",
-    [circular_ladder(16, seed=0), random_cubic(200, seed=0)]
-    + [complete_bipartite(5, 7).with_lengths(m)
-       for m in sample_normalized_metrics(complete_bipartite(5, 7), 3, seed=0)],
-    ids=["ladder16", "cubic-200", "k57-0", "k57-1", "k57-2"],
-)
+# Graphs of at least 64 oriented edges, so each evaluation runs power
+# iteration.
+STOP_EARLY_GRAPHS = {
+    "ladder16": circular_ladder(16, seed=0),
+    "cubic-200": random_cubic(200, seed=0),
+    **{
+        f"k57-{k}": complete_bipartite(5, 7).with_lengths(m)
+        for k, m in enumerate(sample_normalized_metrics(complete_bipartite(5, 7), 3, seed=0))
+    },
+}
+
+
+@pytest.mark.parametrize("g", STOP_EARLY_GRAPHS.values(), ids=STOP_EARLY_GRAPHS.keys())
 def test_newton_evaluations_stop_early(g, monkeypatch):
     # Every one of these has at least 64 oriented edges, so each evaluation
     # runs power iteration; the Newton evaluations pass target 1.  Each
@@ -210,6 +216,48 @@ def test_newton_evaluations_stop_early(g, monkeypatch):
 def _fresh(g):
     """g on a topology of its own, whose h = 0 Perron pair is not yet solved."""
     return MetricGraph.from_unoriented(g.vertices, g.unoriented)
+
+
+def test_warm_starts_save_power_steps(monkeypatch):
+    # Each evaluation after the first Newton one starts from the secant
+    # extrapolation of the last two Perron vectors.  Starting from the last
+    # vector alone, these five solves took 844 power steps in all.
+    calls = _power_iteration_calls(monkeypatch)
+    for g in STOP_EARLY_GRAPHS.values():
+        volume_entropy(_fresh(g))
+    assert sum(result[2] for _, _, result in calls) <= 760
+
+
+@pytest.mark.parametrize("dense_edge_limit", [config.DENSE_EDGE_LIMIT, 1])
+def test_warm_start_falls_back_on_a_nonpositive_guess(dense_edge_limit, monkeypatch):
+    # On this K5 metric (lengths over a ratio of 1e4) the extrapolated vector
+    # overshoots below zero where Perron entries are small; those evaluations
+    # start from the last Perron vector, on either Perron path, and the solve
+    # still reaches the fixed point.
+    monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", dense_edge_limit)
+    g = list(wide_ratio_metrics(3, seed=0))[2]
+    calls = []
+    perron_at = spectral.perron_at
+
+    def recorded(system, h, start=None, target=None):
+        result = perron_at(system, h, start, target)
+        calls.append((h, start, result[1]))
+        return result
+
+    monkeypatch.setattr(spectral, "perron_at", recorded)
+    sol = volume_entropy(g)
+    # The h = 0 evaluation, then the first Newton one from its vector.
+    assert calls[0][0] == 0.0 and calls[1][1] is calls[0][2]
+    fallbacks = 0
+    for (h0, _, x0), (h1, _, x1), (h, start, _) in zip(calls, calls[1:], calls[2:]):
+        guess = x1 + (h - h1) / (h1 - h0) * (x1 - x0)
+        if guess.min() > 0:
+            assert np.array_equal(start, guess / guess.max())
+        else:
+            assert start is x1
+            fallbacks += 1
+    assert fallbacks
+    assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -349,6 +397,22 @@ def test_bracket_closes_to_adjacent_doubles():
     assert sol.h == pytest.approx(LOG2 * 1e5, rel=1e-12)
     assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
     assert sol.iterations < 10
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_radius_rounding_to_one_does_not_creep(order):
+    # At lengths 1 : 44.3 : 1e8, scaled to a longest edge of 1, d log rho / dh
+    # is about 3e-6 at the root, so rho(h) evaluates to exactly 1.0 over some
+    # 1e-10 of h, tens of thousands of doubles: a Newton step of log 1 = 0
+    # would creep down by the margin per evaluation until the cap.  The
+    # reference solves sum 1 / (1 + exp(h l)) = 1 (50 digits); the rounded
+    # weights leave about 1e-10 of it.
+    lengths = (1, 44.3, 1e8)
+    g = theta().with_lengths({f"e{k + 1}": lengths[i] for k, i in enumerate(order)})
+    sol = volume_entropy(g)
+    assert sol.iterations < 60
+    assert sol.h == pytest.approx(1.3398522142221559e-07, rel=1e-9)
+    assert verify_fixed_point(g, sol.h, sol.vector).max_residual <= 1e-9
 
 
 @pytest.mark.parametrize("loop", [1, Fraction(3, 2), Fraction(7, 10)])

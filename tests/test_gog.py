@@ -169,6 +169,25 @@ def test_trivial_groups_reduce_to_plain_operations():
         assert minimal.lengths == plain.lengths
 
 
+@pytest.mark.parametrize(
+    "gog, solver_error, closed_form_error",
+    [
+        (segment((3 * 10**400, 4 * 10**400), 10**400),
+         "edge 'e': group order", "vertex 'x': group order"),
+        (segment((3 * 10**400, 4 * 10**400)),
+         "vertex 'x': index of the group of edge 'e'", "vertex 'x': tree degree"),
+    ],
+    ids=["edge-order", "index"],
+)
+def test_orders_beyond_the_float_range(gog, solver_error, closed_form_error):
+    # The tree degrees are exact Python ints; their float conversions, and
+    # those of the orders, fail.
+    for solve, what in ((gog_entropy, solver_error), (gog_minimal_entropy, closed_form_error)):
+        with pytest.raises(GraphError) as info:
+            solve(gog)
+        assert str(info.value) == f"{what} exceeds the float range (about 1.8e308)"
+
+
 def test_gog_entropy_requires_degree_three():
     with pytest.raises(GraphError, match="degree"):
         gog_entropy(segment((2, 2)))

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from volentropy import (
+    build_graph,
     edge_adjacency,
     gog_entropy,
     is_irreducible,
@@ -32,7 +33,9 @@ from builders import (
     complete_bipartite,
     cycle,
     dumbbell,
+    graph_doc,
     path_graph,
+    random_cubic,
     single_loop,
     theta,
 )
@@ -205,6 +208,68 @@ def test_large_graph_uses_sparse_path():
     assert not isinstance(m.entries, np.ndarray)
     r = spectral_radius(m)
     assert r.radius > 0
+
+
+def _wheel(spokes):
+    """A hub joined to each vertex of a cycle: valencies ``spokes`` and 3."""
+    rim = [f"r{i}" for i in range(spokes)]
+    edges = [(f"s{i}", "hub", v, Fraction(i % 3 + 1, 2)) for i, v in enumerate(rim)]
+    edges += [
+        (f"c{i}", v, rim[(i + 1) % spokes], Fraction(i % 4 + 1, 3)) for i, v in enumerate(rim)
+    ]
+    return build_graph(graph_doc(["hub", *rim], edges))
+
+
+def _gather_system(name):
+    if name == "edge-orders-gog":
+        gog = gog_from_document(EDGE_ORDERS_GOG_DOC)
+        return spectral.edge_system(gog.graph, gog.orders)
+    if name == "theta-pendant":
+        return spectral.edge_system(build_graph(graph_doc(
+            ["a", "b", "leaf"],
+            [("e1", "a", "b", 1), ("e2", "a", "b", 2), ("e3", "a", "b", 3),
+             ("p", "a", "leaf", 1)],
+        )))
+    return spectral.edge_system({"wheel-16": _wheel(16), "cubic-40": random_cubic(40, 0)}[name])
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [("wheel-16", [2, 15]), ("theta-pendant", [0, 2, 3]), ("edge-orders-gog", [3, 5]),
+     ("cubic-40", [2])],
+)
+def test_gather_product(name, counts, monkeypatch):
+    # Rows grouped by entry count: a hub of valency 16 (64 oriented edges),
+    # rows with no entries (into the leaf), multiplicities other than 1 (the
+    # graph of groups) and a single group, which needs no scatter.  The
+    # product must agree with the dense matrix, and on plain graphs carry the
+    # bits of np.bincount over the triplets, in the memo's triplet order and
+    # in a shuffled one, whose layout assemble derives from the triplets.
+    monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", 1)
+    system = _gather_system(name)
+    layout = system.layout
+    assert [cols.shape[0] for _, cols, _ in layout] == counts
+    assert all(not a.flags.writeable for group in layout for a in group if a is not None)
+    n, rows, cols, vals, lengths = (
+        system.order, system.rows, system.cols, system.vals, system.lengths
+    )
+    x = np.random.default_rng(0).uniform(0.5, 2.0, n)
+    h = 0.37
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals * np.exp(-h * lengths[cols]))
+    shuffled = np.random.default_rng(1).permutation(len(rows))
+    for r, c, v, given_layout in (
+        (rows, cols, vals, layout),
+        (rows[shuffled], cols[shuffled], vals[shuffled], None),
+    ):
+        matrix = spectral.assemble(r, c, v, n, h, lengths, given_layout)
+        assert isinstance(matrix, spectral.GatherMatrix)
+        assert matrix.nnz == len(v) and matrix.shape == (n, n)
+        product = matrix @ x
+        np.testing.assert_allclose(product, dense @ x, rtol=1e-14, atol=0)
+        if name != "edge-orders-gog":
+            reference = np.bincount(r, v * np.exp(-h * lengths[c]) * x[c], minlength=n)
+            assert np.array_equal(product, reference)
 
 
 def test_power_iteration_warm_start():
