@@ -40,8 +40,8 @@ _EXPORTS = {
         "estimate_entropy",
     ),
     "spectral": (
-        "EdgeAdjacency", "IrreducibilityReport", "PerronResult", "WeightedEdgeMatrix",
-        "edge_adjacency", "is_irreducible", "spectral_radius", "weighted_matrix",
+        "IrreducibilityReport", "WeightedEdgeMatrix", "edge_adjacency", "is_irreducible",
+        "spectral_radius", "weighted_matrix",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

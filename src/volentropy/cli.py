@@ -102,10 +102,14 @@ def _solution_result(solution: EntropySolution) -> dict:
 
 
 def _matrix_dump(system: EdgeSystem, h: float) -> list[str]:
-    ids, lengths = system.edge_ids, system.lengths.tolist()
+    import numpy as np
+
+    # Formed as ``spectral.assemble`` forms them, so each carries the solver's bits.
+    ids = system.edge_ids
+    values = system.vals * np.exp(-h * system.lengths)[system.cols]
     return [
-        f"{ids[i]} {ids[j]} {v * math.exp(-h * lengths[j])!r}"
-        for i, j, v in zip(system.rows.tolist(), system.cols.tolist(), system.vals.tolist())
+        f"{ids[i]} {ids[j]} {v!r}"
+        for i, j, v in zip(system.rows.tolist(), system.cols.tolist(), values.tolist())
     ]
 
 

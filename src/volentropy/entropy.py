@@ -25,7 +25,7 @@ from .errors import ConvergenceError, GraphError
 from .graph import (  # noqa: F401  (ResidualReport, verify_fixed_point re-exported)
     MetricGraph,
     ResidualReport,
-    validate_entropy_hypotheses,
+    require_entropy_hypotheses,
     verify_fixed_point,
     volume,
 )
@@ -197,9 +197,7 @@ def volume_entropy(
     valency one, so by the valency criterion, which ``edge_system`` checks
     when it builds the system, the system is irreducible.
     """
-    report = validate_entropy_hypotheses(g)
-    if not report.ok:
-        raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
+    require_entropy_hypotheses(g)
     return solve_unit_radius(
         spectral.edge_system(g), root_tol=root_tol, residual_tol=residual_tol
     )

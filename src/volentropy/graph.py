@@ -435,6 +435,13 @@ def validate_entropy_hypotheses(g: MetricGraph) -> HypothesesReport:
     )
 
 
+def require_entropy_hypotheses(g: MetricGraph) -> None:
+    """Raise GraphError listing the standing hypotheses that g fails."""
+    report = validate_entropy_hypotheses(g)
+    if not report.ok:
+        raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float

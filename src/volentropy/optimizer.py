@@ -26,9 +26,9 @@ from .graph import (
     MetricGraph,
     base_id,
     float_order,
+    require_entropy_hypotheses,
     reversal_id,
     series_reduce,
-    validate_entropy_hypotheses,
     verify_fixed_point,
 )
 
@@ -139,7 +139,8 @@ def _check_fixed_point(g: MetricGraph, h: float, perron: dict[str, float], kind:
 def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
     """Minimal metric for graphs that may contain valency-2 chains.
 
-    Series-reduces, minimizes on the reduction, and pulls lengths back by
+    Without a vertex of valency 2 this is ``minimal_metric``.  Otherwise it
+    series-reduces, minimizes on the reduction, and pulls lengths back by
     splitting each chain total evenly across its pieces.  The Perron vector
     is pulled back exactly: a chain piece's only continuation is the next
     piece, so along an oriented chain e_1 ... e_k reduced to E,
@@ -147,12 +148,10 @@ def minimize_with_reduction(g: MetricGraph) -> MinimalMetricResult:
     unchanged, since exp(-h l_{f_1}) x_{f_1} = exp(-h L_F) x_F at a branch
     vertex.
     """
-    report = validate_entropy_hypotheses(g)
-    if not report.ok:
-        raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
-    reduced, chains = series_reduce(g)
-    if all(len(chain) == 1 for chain in chains.values()):
+    require_entropy_hypotheses(g)
+    if 2 not in g.topology.valency:
         return minimal_metric(g)
+    reduced, chains = series_reduce(g)
     reduced_result = minimal_metric(reduced)
     h = reduced_result.h_min
     lengths: dict[str, float] = {}

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from . import config
 from .errors import GraphError
-from .graph import MetricGraph, validate_entropy_hypotheses
+from .graph import MetricGraph, require_entropy_hypotheses
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ def _as_fraction(value, where: str) -> Fraction:
 def _require_rational_graph(g: MetricGraph) -> None:
     if not g.is_rational:
         raise GraphError("the exact oracle requires rational edge lengths")
-    report = validate_entropy_hypotheses(g)
-    if not report.ok:
-        raise GraphError(f"entropy hypotheses violated: {'; '.join(report.failures())}")
+    require_entropy_hypotheses(g)
 
 
 def _successors(g: MetricGraph) -> list[list[int]]:

@@ -4,8 +4,8 @@
 the lifts of f that continue a lift of e in the covering tree without
 backtracking.  With all group orders 1 this is the non-backtracking
 adjacency: a 1 exactly when f can follow e and is not its reversal.  The
-h-weighted matrix scales column f by exp(-h * length(f)); its spectral
-radius drives the entropy solver.
+h-weighted matrix scales column f by exp(-h * length(f)); ``perron_at`` alone
+computes its Perron root, for the entropy solvers and ``spectral_radius``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class EdgeSystem:
     each oriented edge, through which ``edge_system`` spreads the lengths;
     and ``layout``, the triplets grouped for the gather product (see
     ``_row_groups``), which ``perron_at`` and ``weighted_matrix`` pass to
-    ``assemble``.
-    A system built by hand gets an empty slot of its own and needs no
-    ``base`` or ``layout``.
+    ``assemble``.  A system built by hand gets an empty slot of its own and
+    needs no ``base`` or ``layout``.
     """
 
     edge_ids: tuple[str, ...]
@@ -61,30 +60,6 @@ class EdgeSystem:
     @property
     def order(self) -> int:
         return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class EdgeAdjacency:
-    """Boolean non-backtracking matrix, stored as successor lists.
-
-    Edge indexing is sorted by oriented edge id and stable across runs.
-    """
-
-    order: int
-    edge_ids: tuple[str, ...]
-    successors: tuple[tuple[int, ...], ...]
-
-    def entry(self, e: str, f: str) -> int:
-        i = self.edge_ids.index(e)
-        j = self.edge_ids.index(f)
-        return 1 if j in self.successors[i] else 0
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.order, self.order))
-        for i, row in enumerate(self.successors):
-            for j in row:
-                out[i, j] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -154,14 +129,6 @@ class WeightedEdgeMatrix:
     base: EdgeSystem
     h: float
     entries: np.ndarray | GatherMatrix
-
-
-@dataclass(frozen=True)
-class PerronResult:
-    radius: float
-    vector: dict[str, float]
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -307,13 +274,10 @@ def _strongly_connected(rows: np.ndarray, cols: np.ndarray, reversal: np.ndarray
     return True
 
 
-def edge_adjacency(g: MetricGraph) -> EdgeAdjacency:
-    """Non-backtracking adjacency of the oriented edges."""
+def edge_adjacency(g: MetricGraph) -> tuple[tuple[int, ...], ...]:
+    """Successor rows of the oriented edges, indexed in sorted id order:
+    row i lists, ascending, the edges that may follow edge i."""
     system = edge_system(g)
-    return EdgeAdjacency(system.order, system.edge_ids, _successors(system))
-
-
-def _successors(system: EdgeSystem) -> tuple[tuple[int, ...], ...]:
     bounds = np.cumsum(np.bincount(system.rows, minlength=system.order))[:-1]
     return tuple(tuple(row.tolist()) for row in np.split(system.cols, bounds))
 
@@ -374,8 +338,8 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
     A graph with terminal vertices raises GraphError.  Otherwise the flag
     is the edge system's, which ``edge_system`` has checked against the
     valency criterion (irreducible iff some vertex has valency at least
-    three).  A reducible system's witness is its strongly connected
-    components.
+    three).  A reducible system's witness is the strongly connected
+    components of ``edge_adjacency``, as tuples of oriented edge ids.
     """
     terminal = [x for x in g.vertices if g.valency(x) == 1]
     if terminal:
@@ -385,7 +349,7 @@ def is_irreducible(g: MetricGraph) -> IrreducibilityReport:
         return IrreducibilityReport(True, None)
     witness = tuple(
         tuple(system.edge_ids[i] for i in component)
-        for component in strongly_connected_components(_successors(system))
+        for component in strongly_connected_components(edge_adjacency(g))
     )
     return IrreducibilityReport(False, witness)
 
@@ -420,6 +384,7 @@ def assemble(
     return GatherMatrix(weights, layout, (n, n), len(vals))
 
 
+# Kept while perfbench/baseline.py reads ``.entries`` from it.
 def weighted_matrix(g: MetricGraph, h: float) -> WeightedEdgeMatrix:
     """The h-weighted non-backtracking matrix of g."""
     if h < 0:
@@ -560,10 +525,8 @@ def power_iteration(
     )
 
 
-def spectral_radius(m: WeightedEdgeMatrix) -> PerronResult:
-    """Perron root and positive eigenvector of a weighted edge matrix."""
-    if not m.base.irreducible:
+def spectral_radius(system: EdgeSystem, h: float) -> float:
+    """Perron root at h of an irreducible system, from ``perron_at``."""
+    if not system.irreducible:
         raise GraphError("spectral radius requires an irreducible edge matrix")
-    radius, vec, iterations, residual = power_iteration(m.entries)
-    vector = {eid: float(v) for eid, v in zip(m.base.edge_ids, vec)}
-    return PerronResult(radius, vector, iterations, residual)
+    return perron_at(system, float(h))[0]

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from volentropy import volume_entropy
+from volentropy import build_graph, spectral, volume_entropy
 from volentropy.cli import main
+from volentropy.documents import gog_from_document
 
 from builders import THETA_DOC, complete_bipartite, double_cover_doc, graph_doc
 
@@ -223,6 +224,31 @@ def test_gog_dump_matrix_matches_plain(capsys, theta_file):
     plain = matrix_lines(["entropy", theta_file, "--dump-matrix"])
     assert len(plain) == 12
     assert matrix_lines(["gog-entropy", theta_file, "--dump-matrix"]) == plain
+
+
+def test_dump_matrix_carries_the_solvers_bits(capsys, tmp_path):
+    # Each dumped entry is the dense assembled matrix's entry at the solved h,
+    # bit for bit; an entry recomputed with math.exp would differ in the last
+    # bit from np.exp for some arguments on some CPUs.
+    doc = graph_doc(["a", "b"], [("e1", "a", "b", 1), ("e2", "a", "b", 1), ("e3", "a", "b", 4)])
+    path = tmp_path / "theta114.graph"
+    path.write_text(yaml.safe_dump(doc))
+    gog = gog_from_document(doc)
+    systems = {
+        "entropy": spectral.edge_system(build_graph(doc)),
+        "gog-entropy": spectral.edge_system(gog.graph, gog.orders),
+    }
+    for subcommand, system in systems.items():
+        code, out = run_json(capsys, [subcommand, str(path), "--dump-matrix"])
+        assert code == 0
+        matrix = spectral.assemble(
+            system.rows, system.cols, system.vals, system.order, out["h"], system.lengths
+        )
+        index = {eid: i for i, eid in enumerate(system.edge_ids)}
+        assert len(out["matrix"]) == 12
+        for line in out["matrix"]:
+            e, f, value = line.split()
+            assert float(value) == matrix[index[e], index[f]]
 
 
 def test_runs_without_scipy():

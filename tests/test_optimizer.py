@@ -4,6 +4,7 @@ property."""
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +20,13 @@ from volentropy import (
     volume_entropy,
 )
 from volentropy import config, optimizer, spectral, verify_fixed_point
+from volentropy.cli import main
 from volentropy.graph import base_id
 from volentropy.errors import ConvergenceError, GraphError
 
 from builders import (
-    complete, complete_bipartite, cycle, dumbbell, subdivide, subdivided_theta, theta,
+    complete, complete_bipartite, cycle, dumbbell, random_cubic, subdivide, subdivided_theta,
+    theta,
 )
 
 LOG2 = math.log(2)
@@ -150,6 +153,37 @@ def test_minimize_with_reduction_trivalent_passthrough():
     assert result.canonical == "exact"
     assert result.chains is None
     assert result.lengths == minimal_metric(g).lengths
+
+
+def test_minimize_without_chains_skips_series_reduce(monkeypatch, capsys):
+    # A graph with no vertex of valency 2 has no chain to reduce; its CLI
+    # output is byte for byte what the reduce-then-discard route printed.
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    argvs = [
+        ["minimize", str(fixtures / name), "--format", fmt]
+        for name in ("k4.yaml", "theta.yaml") for fmt in ("human", "structured")
+    ]
+
+    def reduce_then_discard(g):
+        optimizer.series_reduce(g)
+        return optimizer.minimal_metric(g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "minimize_with_reduction", reduce_then_discard)
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr())
+
+    def refuse(g):
+        raise AssertionError("series_reduce called on a graph without chains")
+
+    monkeypatch.setattr(optimizer, "series_reduce", refuse)
+    for g in (complete(4), random_cubic(40, 0)):
+        assert minimize_with_reduction(g) == minimal_metric(g)
+    for argv, output in zip(argvs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr() == output
 
 
 def test_minimal_metric_failed_check_raises(monkeypatch):

@@ -42,31 +42,45 @@ from builders import (
 from test_graph import metric_graphs, positive_fractions
 
 
+def _entry(g, adj, e, f):
+    """The adjacency entry of oriented edges e, f, given by id."""
+    index = g.edge_index
+    return 1 if index[f] in adj[index[e]] else 0
+
+
+def _adjacency_matrix(adj):
+    out = np.zeros((len(adj), len(adj)))
+    for i, row in enumerate(adj):
+        out[i, list(row)] = 1.0
+    return out
+
+
 def test_theta_adjacency():
     adj = edge_adjacency(theta())
-    assert adj.order == 6
-    assert sum(len(row) for row in adj.successors) == 12
-    assert all(len(row) == 2 for row in adj.successors)
+    assert len(adj) == 6
+    assert sum(len(row) for row in adj) == 12
+    assert all(len(row) == 2 for row in adj)
 
 
 def test_row_sums_match_branching():
     for g in (theta(), dumbbell(), complete(4), single_loop()):
         adj = edge_adjacency(g)
-        for e, row in zip(g.edges, adj.successors):
+        for e, row in zip(g.edges, adj):
             assert len(row) == g.k(e.terminus)
 
 
 def test_loop_follows_itself_but_not_its_reversal():
-    adj = edge_adjacency(single_loop())
-    assert adj.entry("e1+", "e1+") == 1
-    assert adj.entry("e1-", "e1-") == 1
-    assert adj.entry("e1+", "e1-") == 0
-    assert adj.entry("e1-", "e1+") == 0
+    g = single_loop()
+    adj = edge_adjacency(g)
+    assert _entry(g, adj, "e1+", "e1+") == 1
+    assert _entry(g, adj, "e1-", "e1-") == 1
+    assert _entry(g, adj, "e1+", "e1-") == 0
+    assert _entry(g, adj, "e1-", "e1+") == 0
 
 
 def test_cycle_rows_have_one_entry():
     adj = edge_adjacency(cycle(4))
-    assert all(len(row) == 1 for row in adj.successors)
+    assert all(len(row) == 1 for row in adj)
 
 
 def test_reversal_symmetry():
@@ -74,8 +88,8 @@ def test_reversal_symmetry():
         adj = edge_adjacency(g)
         for e in g.edges:
             for f in g.edges:
-                assert adj.entry(e.id, f.id) == adj.entry(
-                    g.edge(f.id).reversal, g.edge(e.id).reversal
+                assert _entry(g, adj, e.id, f.id) == _entry(
+                    g, adj, g.edge(f.id).reversal, g.edge(e.id).reversal
                 )
 
 
@@ -97,7 +111,7 @@ def test_weighted_matrix_values():
     g = theta()
     m0 = weighted_matrix(g, 0.0)
     adj = edge_adjacency(g)
-    assert np.array_equal(np.asarray(m0.entries), adj.matrix())
+    assert np.array_equal(np.asarray(m0.entries), _adjacency_matrix(adj))
     m1 = weighted_matrix(g, math.log(2))
     nonzero = np.asarray(m1.entries)[np.asarray(m1.entries) > 0]
     assert np.allclose(nonzero, 0.5)
@@ -118,58 +132,79 @@ def test_weighted_matrix_mixed_lengths():
 
 
 def test_spectral_radius_examples():
-    g = theta()
-    r = spectral_radius(weighted_matrix(g, 0.0))
-    assert r.radius == pytest.approx(2.0, abs=1e-12)
-    assert set(r.vector.values()) == {1.0}
-    r = spectral_radius(weighted_matrix(g, math.log(2)))
-    assert r.radius == pytest.approx(1.0, abs=1e-12)
-    r = spectral_radius(weighted_matrix(complete(4), 0.0))
-    assert r.radius == pytest.approx(2.0, abs=1e-12)
+    system = spectral.edge_system(theta())
+    assert spectral_radius(system, 0.0) == pytest.approx(2.0, abs=1e-12)
+    assert set(spectral.perron_at(system, 0.0)[1].tolist()) == {1.0}
+    assert spectral_radius(system, math.log(2)) == pytest.approx(1.0, abs=1e-12)
+    radius = spectral_radius(spectral.edge_system(complete(4)), 0.0)
+    assert radius == pytest.approx(2.0, abs=1e-12)
 
 
 def test_spectral_radius_rejects_reducible():
     with pytest.raises(GraphError, match="irreducible"):
-        spectral_radius(weighted_matrix(cycle(4), 0.0))
+        spectral_radius(spectral.edge_system(cycle(4)), 0.0)
 
 
 def test_radius_strictly_decreasing_in_h():
     for g in (theta(), dumbbell(), complete(4), theta((1, 1, 2))):
-        radii = [
-            spectral_radius(weighted_matrix(g, h)).radius for h in (0.0, 0.3, 0.9)
-        ]
+        system = spectral.edge_system(g)
+        radii = [spectral_radius(system, h) for h in (0.0, 0.3, 0.9)]
         assert radii[0] > radii[1] > radii[2]
 
 
 def test_radius_limits():
     for g in (theta(), dumbbell(), complete(4)):
-        assert spectral_radius(weighted_matrix(g, 0.0)).radius >= 1.0
+        system = spectral.edge_system(g)
+        assert spectral_radius(system, 0.0) >= 1.0
         big = 10.0 / float(g.l_min)
-        assert spectral_radius(weighted_matrix(g, big)).radius < 0.01
+        assert spectral_radius(system, big) < 0.01
 
 
 def test_perron_vector_positive():
+    system = spectral.edge_system(theta((1, 2, 3)))
     for h in (0.0, 0.5, 2.0):
-        r = spectral_radius(weighted_matrix(theta((1, 2, 3)), h))
-        assert min(r.vector.values()) > 0
-        assert max(r.vector.values()) == pytest.approx(1.0)
+        vector = spectral.perron_at(system, h)[1]
+        assert min(vector) > 0
+        assert max(vector) == pytest.approx(1.0)
 
 
 def test_power_iteration_residual_contract():
     g = theta((1, 1, 2))
-    m = weighted_matrix(g, 0.4)
-    r = spectral_radius(m)
-    entries = np.asarray(m.entries)
-    vec = np.array([r.vector[eid] for eid in m.base.edge_ids])
-    assert np.max(np.abs(entries @ vec - r.radius * vec)) <= config.POWER_RESIDUAL_TOL
+    entries = np.asarray(weighted_matrix(g, 0.4).entries)
+    radius, vec, _, _ = power_iteration(entries)
+    assert np.max(np.abs(entries @ vec - radius * vec)) <= config.POWER_RESIDUAL_TOL
 
 
 def test_dense_and_sparse_agree(monkeypatch):
-    g = complete_bipartite(3, 4)
-    dense = spectral_radius(weighted_matrix(g, 0.7)).radius
+    system = spectral.edge_system(complete_bipartite(3, 4))
+    dense = spectral_radius(system, 0.7)
     monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", 1)
-    sparse_radius = spectral_radius(weighted_matrix(g, 0.7)).radius
+    sparse_radius = spectral_radius(system, 0.7)
     assert sparse_radius == pytest.approx(dense, abs=1e-12)
+
+
+def test_spectral_radius_is_the_perron_root(monkeypatch):
+    # On either Perron path spectral_radius is perron_at's root, and it
+    # agrees with the largest real part of a full eigendecomposition, an
+    # independent reference; edge_adjacency's rows are the triplets' support.
+    cases = []
+    for g in (theta(), dumbbell(), complete(4), theta((1, 1, 2))):
+        system = spectral.edge_system(g)
+        support = [[] for _ in range(system.order)]
+        for i, j in zip(system.rows.tolist(), system.cols.tolist()):
+            support[i].append(j)
+        assert [list(row) for row in edge_adjacency(g)] == support
+        for h in (0.0, 0.3, 0.9, 10.0 / float(g.l_min)):
+            entries = weighted_matrix(g, h).entries
+            cases.append((system, h, float(np.max(np.linalg.eigvals(entries).real))))
+    for limit in (config.DENSE_EDGE_LIMIT, 1):
+        monkeypatch.setattr(config, "DENSE_EDGE_LIMIT", limit)
+        for system, h, reference in cases:
+            radius = spectral_radius(system, h)
+            root, _, matrix = spectral.perron_at(system, h)
+            assert isinstance(matrix, np.ndarray) == (limit > 1)
+            assert radius == root
+            assert radius == pytest.approx(reference, rel=1e-13)
 
 
 def _system_and_root(name):
@@ -206,8 +241,7 @@ def test_large_graph_uses_sparse_path():
     g = complete_bipartite(5, 7)
     m = weighted_matrix(g, 0.2)
     assert not isinstance(m.entries, np.ndarray)
-    r = spectral_radius(m)
-    assert r.radius > 0
+    assert spectral_radius(m.base, 0.2) > 0
 
 
 def _wheel(spokes):
@@ -296,7 +330,7 @@ def test_scc_helper():
 @given(metric_graphs())
 def test_row_sum_invariant_random(g):
     adj = edge_adjacency(g)
-    for e, row in zip(g.edges, adj.successors):
+    for e, row in zip(g.edges, adj):
         assert len(row) == g.k(e.terminus)
 
 
